@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import NoConvergenceError
-from .exact import ExpansionCoeffs, derive_set_a, derive_set_b
+from .errors import NoConvergenceError, SingularParameterError
+from .exact import FAMILIES, ExpansionCoeffs
 
 RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-6
@@ -45,10 +45,6 @@ class CoeffResiduals:
     @property
     def max_abs(self) -> float:
         return max(abs(x) for x in self.r)
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(sum(x * x for x in self.r))
 
 
 def _rows(a1, a0, b1, b0, L, mu, c, B, k, d):
@@ -192,22 +188,28 @@ def solve_families(k, delta, mu, alpha0, init_grid=None):
     return out
 
 
+def deviation(a: ExpansionCoeffs, b: ExpansionCoeffs) -> float:
+    """Largest componentwise difference of two roots on the six unknowns."""
+    va = np.array([a.alpha1, a.beta1, a.beta0, a.lam, a.c, a.beta_model])
+    vb = np.array([b.alpha1, b.beta1, b.beta0, b.lam, b.c, b.beta_model])
+    return float(np.max(np.abs(va - vb)))
+
+
 def match_root(roots, target: ExpansionCoeffs, tol=1e-6):
     """The first root matching target componentwise on the six unknowns, or None."""
-    tvec = np.array([target.alpha1, target.beta1, target.beta0,
-                     target.lam, target.c, target.beta_model])
     for r in roots:
-        rvec = np.array([r.alpha1, r.beta1, r.beta0, r.lam, r.c, r.beta_model])
-        if np.max(np.abs(rvec - tvec)) < tol:
+        if deviation(r, target) < tol:
             return r
     return None
 
 
 def closed_form_targets(k, delta, mu, alpha0):
     """The closed-form family roots available at these inputs, labeled."""
-    out = [("Set A upper", derive_set_a(alpha0, mu, k, delta, "upper")),
-           ("Set A lower", derive_set_a(alpha0, mu, k, delta, "lower"))]
-    if alpha0 != 0:
-        out.append(("Set B upper", derive_set_b(alpha0, mu, k, delta, "upper")))
-        out.append(("Set B lower", derive_set_b(alpha0, mu, k, delta, "lower")))
+    out = []
+    for family, derive in FAMILIES.items():
+        for branch in ("upper", "lower"):
+            try:
+                out.append((f"Set {family} {branch}", derive(alpha0, mu, k, delta, branch)))
+            except SingularParameterError:  # Set B at alpha0 = 0
+                break
     return out

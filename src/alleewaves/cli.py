@@ -14,20 +14,19 @@ Exit codes: 0 success, 1 verification failure, 2 usage/validation error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .algebraic import closed_form_targets, match_root, solve_families
-from .errors import (AlleeWavesError, BlowUpError, CaseMismatchError,
-                     NoConvergenceError, PoleError, SingularParameterError,
-                     StabilityError, TrackingError)
-from .exact import (eval_uv_masked, find_singularities, make_spec,
-                    period_case2, set_b_reference_alpha0)
-from .model import classify_case, discriminant
+from .algebraic import closed_form_targets, deviation, match_root, solve_families
+from .errors import (AlleeWavesError, BlowUpError, NoConvergenceError,
+                     PoleError, StabilityError, TrackingError)
+from .exact import (FAMILIES, eval_uv_masked, find_singularities, make_spec,
+                    set_b_reference_alpha0)
+from .model import CaseKind
 from .output import write_csv, write_svg
 from .sim import GridField, SimConfig, measure_wave_speed, simulate
 from .verify import check_G_ode, ode_residual
@@ -52,7 +51,7 @@ FIGURES = {
 
 
 def _spec_args(p):
-    p.add_argument("--family", choices=["A", "B"], required=True)
+    p.add_argument("--family", choices=list(FAMILIES), required=True)
     p.add_argument("--branch", choices=["upper", "lower"], default="upper")
     p.add_argument("--alpha0", type=float, required=True)
     p.add_argument("--mu", type=float, required=True)
@@ -70,7 +69,7 @@ def build_parser():
 
     pe = sub.add_parser("eval", help="sample a closed-form solution to CSV")
     _spec_args(pe)
-    pe.add_argument("--case", choices=["hyperbolic", "trigonometric", "degenerate"],
+    pe.add_argument("--case", choices=[case.value for case in CaseKind],
                     help="assert the case; usage error on mismatch")
     pe.add_argument("--x-min", type=float, default=-5.0)
     pe.add_argument("--x-max", type=float, default=5.0)
@@ -118,7 +117,7 @@ def build_parser():
 
 
 def _spec_args_optional(p):
-    p.add_argument("--family", choices=["A", "B"])
+    p.add_argument("--family", choices=list(FAMILIES))
     p.add_argument("--branch", choices=["upper", "lower"])
     p.add_argument("--alpha0", type=float)
     p.add_argument("--mu", type=float)
@@ -134,34 +133,41 @@ def _base_header(args_dict):
     return hdr
 
 
-def _make_spec_from(ns):
-    return make_spec(ns.family, ns.alpha0, ns.mu, ns.k, ns.delta,
-                     branch=ns.branch, c1=ns.c1, c2=ns.c2)
+def _make_spec_from(par):
+    return make_spec(par["family"], par["alpha0"], par["mu"], par["k"],
+                     par["delta"], branch=par["branch"], c1=par["c1"], c2=par["c2"])
 
 
 def _sample_profile(spec, x, t):
-    """(u, v, mask) with pole-adjacent samples additionally masked out."""
+    """(u, v, mask, pole header) of the profile sampled at (x, t).
+
+    Besides the pole floor of eval_uv_masked, samples within one grid
+    spacing of a pole are masked.  The header lists the poles whose xi lies
+    in the sampled window, with their x at time t.
+    """
     u, v, ok = eval_uv_masked(spec, x, t)
-    co = spec.coeffs
-    xi = x - co.c * t
+    c = spec.coeffs.c
+    xi = x - c * t
     spacing = float(x[1] - x[0]) if len(x) > 1 else 1.0
-    pad = spacing
-    for p in find_singularities(spec, float(xi.min()) - pad, float(xi.max()) + pad):
+    lo, hi = float(xi.min()), float(xi.max())
+    poles = find_singularities(spec, lo - spacing, hi + spacing)
+    for p in poles:
         ok = ok & (np.abs(xi - p) > spacing)
-    return u, v, ok
+    hdr = {}
+    for i, p in enumerate([p for p in poles if lo <= p <= hi], 1):
+        hdr[f"pole_{i}_xi"] = p
+        hdr[f"pole_{i}_x"] = p + c * t
+    return u, v, ok, hdr
 
 
 def cmd_eval(ns) -> int:
-    spec = _make_spec_from(ns)
-    if ns.case is not None and ns.case != spec.case.value:
-        print(f"error: requested case {ns.case} but lambda^2-4mu="
-              f"{discriminant(spec.coeffs.lam, spec.coeffs.mu):.6g}"
-              f" gives {spec.case.value}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = _make_spec_from(vars(ns))
+    if ns.case is not None:  # the spec's own case check rejects a mismatch
+        replace(spec, case=CaseKind(ns.case))
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     x = np.linspace(ns.x_min, ns.x_max, ns.n)
-    u, v, ok = _sample_profile(spec, x, ns.t)
+    u, v, ok, pole_hdr = _sample_profile(spec, x, ns.t)
     hdr = _base_header({
         "command": "eval", "family": ns.family, "branch": ns.branch,
         "case": spec.case.value, "alpha0": ns.alpha0, "mu": ns.mu,
@@ -170,10 +176,7 @@ def cmd_eval(ns) -> int:
         "c": spec.coeffs.c, "lambda": spec.coeffs.lam,
         "beta": spec.coeffs.beta_model,
     })
-    xi = x - spec.coeffs.c * ns.t
-    for i, p in enumerate(find_singularities(spec, float(xi.min()), float(xi.max())), 1):
-        hdr[f"pole_{i}_xi"] = p
-        hdr[f"pole_{i}_x"] = p + spec.coeffs.c * ns.t
+    hdr.update(pole_hdr)
     write_csv(out / "eval.csv", hdr, {"x": x, "u": u, "v": v}, mask=ok)
     print(f"wrote {out / 'eval.csv'}")
     return EXIT_OK
@@ -183,9 +186,7 @@ def cmd_figure(ns) -> int:
     par = dict(FIGURES[ns.n])
     inferred = par.pop("alpha0_inferred", False)
     n = par["n"]
-    spec = make_spec(par["family"], par["alpha0"], par["mu"], par["k"],
-                     par["delta"], branch=par["branch"],
-                     c1=par["c1"], c2=par["c2"])
+    spec = _make_spec_from(par)
     c = spec.coeffs.c
     if "x_min" in par:
         x = np.linspace(par["x_min"], par["x_max"], n)
@@ -193,7 +194,7 @@ def cmd_figure(ns) -> int:
         x = np.linspace(par["xi_min"] + c * par["t"],
                         par["xi_max"] + c * par["t"], n)
     t = par["t"]
-    u, v, ok = _sample_profile(spec, x, t)
+    u, v, ok, pole_hdr = _sample_profile(spec, x, t)
     xi = x - c * t
 
     hdr = _base_header({"command": f"figure {ns.n}", "case": spec.case.value})
@@ -204,11 +205,9 @@ def cmd_figure(ns) -> int:
     if inferred:
         hdr["alpha0_note"] = ("inferred as sqrt(2*mu): the unique value giving"
                               " lambda=2*sqrt(mu) for family B")
-    if spec.case.value == "trigonometric":
-        hdr["period"] = period_case2(spec.coeffs.lam, spec.coeffs.mu)
-    for i, p in enumerate(find_singularities(spec, float(xi.min()), float(xi.max())), 1):
-        hdr[f"pole_{i}_xi"] = p
-        hdr[f"pole_{i}_x"] = p + c * t
+    if spec.period is not None:
+        hdr["period"] = spec.period
+    hdr.update(pole_hdr)
 
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -225,7 +224,7 @@ def cmd_figure(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
-    spec = _make_spec_from(ns)
+    spec = _make_spec_from(vars(ns))
     rep = ode_residual(spec, ns.xi_min, ns.xi_max, ns.n_samples)
     grid = np.linspace(ns.xi_min, ns.xi_max, min(ns.n_samples, 1001))
     grep = check_G_ode(spec.case, spec.coeffs.lam, spec.coeffs.mu,
@@ -306,9 +305,7 @@ def _sim_params(ns):
 
 def cmd_simulate(ns) -> int:
     par = _sim_params(ns)
-    spec = make_spec(par["family"], par["alpha0"], par["mu"], par["k"],
-                     par["delta"], branch=par["branch"],
-                     c1=par["c1"], c2=par["c2"])
+    spec = _make_spec_from(par)
     co = spec.coeffs
     x = np.arange(par["x_min"], par["x_max"] + 0.5 * par["dx"], par["dx"])
     poles = find_singularities(spec, float(x.min()), float(x.max()))
@@ -367,21 +364,16 @@ def cmd_solve(ns) -> int:
     matched = set()
     for r in roots:
         rvec = (r.alpha1, r.beta1, r.beta0, r.lam, r.c, r.beta_model)
-        label, dev = "unmatched", None
-        for name, tgt in targets:
-            tvec = (tgt.alpha1, tgt.beta1, tgt.beta0, tgt.lam, tgt.c,
-                    tgt.beta_model)
-            d = max(abs(a - b) for a, b in zip(rvec, tvec))
-            if d < ns.tol:
-                label, dev = name, d
-                matched.add(name)
-                break
         print("  root: " + " ".join(f"{f}={v:.8g}"
                                     for f, v in zip(fields, rvec)))
-        if dev is None:
+        hit = next(((name, tgt) for name, tgt in targets
+                    if match_root([r], tgt, ns.tol) is not None), None)
+        if hit is None:
             print("        (no closed-form match; extra root)")
         else:
-            print(f"        matches {label}, max componentwise dev {dev:.3e}")
+            matched.add(hit[0])
+            print(f"        matches {hit[0]}, max componentwise dev"
+                  f" {deviation(r, hit[1]):.3e}")
     if ns.alpha0 == 0:
         print("  Set B: not applicable: alpha0=0")
     for name, _ in targets:
@@ -402,8 +394,7 @@ def main(argv=None) -> int:
     except (BlowUpError, NoConvergenceError, PoleError, TrackingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CaseMismatchError, SingularParameterError, StabilityError,
-            ValueError) as exc:
+    except (StabilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AlleeWavesError as exc:

@@ -25,7 +25,8 @@ so Set B admits only the hyperbolic and degenerate regimes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -76,58 +77,36 @@ class ExpansionCoeffs:
         )
 
 
-def derive_set_a(alpha0, mu, k, delta, branch="upper") -> ExpansionCoeffs:
-    """Family (a): wave speed c = -+k/sqrt(2)."""
+def _family_coeffs(sg, alpha0, mu, k, delta, lam, c, beta_model) -> ExpansionCoeffs:
+    """Complete a family's (lam, c, beta) with the coefficients both families share."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    sg = _branch_sign(branch)
     sd = math.sqrt(delta)
-    return ExpansionCoeffs(
-        alpha1=sg * SQRT2,
-        alpha0=alpha0,
-        beta1=sg * SQRT2 / sd,
-        beta0=alpha0 / sd,
-        lam=-sg * (k - 2.0 * alpha0) / SQRT2,
-        mu=mu,
-        c=-sg * k / SQRT2,
-        beta_model=k * alpha0 - alpha0 * alpha0 + 2.0 * mu,
-        k=k,
-        delta=delta,
-    )
+    return ExpansionCoeffs(alpha1=sg * SQRT2, alpha0=alpha0, beta1=sg * SQRT2 / sd,
+                           beta0=alpha0 / sd, lam=lam, mu=mu, c=c,
+                           beta_model=beta_model, k=k, delta=delta)
+
+
+def derive_set_a(alpha0, mu, k, delta, branch="upper") -> ExpansionCoeffs:
+    """Family (a): wave speed c = -+k/sqrt(2)."""
+    sg = _branch_sign(branch)
+    return _family_coeffs(sg, alpha0, mu, k, delta,
+                          lam=-sg * (k - 2.0 * alpha0) / SQRT2,
+                          c=-sg * k / SQRT2,
+                          beta_model=k * alpha0 - alpha0 * alpha0 + 2.0 * mu)
 
 
 def derive_set_b(alpha0, mu, k, delta, branch="upper") -> ExpansionCoeffs:
     """Family (b): wave speed c = +-(2k - 3*alpha0 + 6*mu/alpha0)/sqrt(2)."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
     if alpha0 == 0:
         raise SingularParameterError("Set B requires alpha0 != 0 (it divides)")
     sg = _branch_sign(branch)
-    sd = math.sqrt(delta)
     a0sq = alpha0 * alpha0
-    return ExpansionCoeffs(
-        alpha1=sg * SQRT2,
-        alpha0=alpha0,
-        beta1=sg * SQRT2 / sd,
-        beta0=alpha0 / sd,
+    return _family_coeffs(
+        sg, alpha0, mu, k, delta,
         lam=sg * (a0sq + 2.0 * mu) / (SQRT2 * alpha0),
-        mu=mu,
         c=sg * (2.0 * k - 3.0 * alpha0 + 6.0 * mu / alpha0) / SQRT2,
-        beta_model=-(a0sq - 2.0 * mu) * (-k * alpha0 + a0sq - 2.0 * mu) / a0sq,
-        k=k,
-        delta=delta,
-    )
-
-
-def set_a_reference_alpha0(mu, k) -> float:
-    """Reference alpha0 selection for family (a): -(2*sqrt(2*mu) + k)/2.
-
-    Note it forces a strictly positive discriminant for k > 0, so it
-    cannot produce the trigonometric or degenerate regimes.
-    """
-    if mu < 0:
-        raise ValueError("mu must be >= 0 for this selection")
-    return -(2.0 * math.sqrt(2.0 * mu) + k) / 2.0
+        beta_model=-(a0sq - 2.0 * mu) * (-k * alpha0 + a0sq - 2.0 * mu) / a0sq)
 
 
 def set_b_reference_alpha0(mu) -> float:
@@ -135,6 +114,18 @@ def set_b_reference_alpha0(mu) -> float:
     if mu < 0:
         raise ValueError("mu must be >= 0 for this selection")
     return math.sqrt(2.0 * mu)
+
+
+FAMILIES = {"A": derive_set_a, "B": derive_set_b}
+
+
+def _check_case(case: CaseKind, lam, mu):
+    actual = classify_case(lam, mu)
+    if actual is not case:
+        raise CaseMismatchError(
+            f"case {case.value} inconsistent with lambda^2-4mu="
+            f"{discriminant(lam, mu):.6g} ({actual.value})"
+        )
 
 
 @dataclass(frozen=True)
@@ -149,121 +140,140 @@ class SolutionSpec:
     coeffs: ExpansionCoeffs
 
     def __post_init__(self):
-        if self.family not in ("A", "B"):
+        if self.family not in FAMILIES:
             raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
         _branch_sign(self.branch)
         if self.c1 == 0 and self.c2 == 0:
             raise ValueError("(c1, c2) must not both be zero")
-        actual = classify_case(self.coeffs.lam, self.coeffs.mu)
-        if actual is not self.case:
-            raise CaseMismatchError(
-                f"case {self.case.value} inconsistent with lambda^2-4mu="
-                f"{discriminant(self.coeffs.lam, self.coeffs.mu):.6g} ({actual.value})"
-            )
+        _check_case(self.case, self.coeffs.lam, self.coeffs.mu)
+
+    @property
+    def period(self):
+        """Period of the profile in xi, or None when the case is not periodic."""
+        forms, q = _forms(self.case, self.coeffs.lam, self.coeffs.mu)
+        return forms.period(q)
 
 
 def make_spec(family, alpha0, mu, k, delta, branch="upper", c1=1.0, c2=0.0,
               eps_disc=DEFAULT_EPS_DISC) -> SolutionSpec:
     """Derive the family coefficients and classify the case in one step."""
-    if family == "A":
-        coeffs = derive_set_a(alpha0, mu, k, delta, branch)
-    elif family == "B":
-        coeffs = derive_set_b(alpha0, mu, k, delta, branch)
-    else:
+    if family not in FAMILIES:
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+    coeffs = FAMILIES[family](alpha0, mu, k, delta, branch)
     case = classify_case(coeffs.lam, coeffs.mu, eps_disc)
     return SolutionSpec(family=family, branch=branch, case=case,
                         c1=float(c1), c2=float(c2), coeffs=coeffs)
 
 
-def flip_branch(spec: SolutionSpec) -> SolutionSpec:
-    """The other sign branch of the same family instance."""
-    other = "lower" if spec.branch == "upper" else "upper"
-    if spec.family == "A":
-        coeffs = derive_set_a(spec.coeffs.alpha0, spec.coeffs.mu,
-                              spec.coeffs.k, spec.coeffs.delta, other)
-    else:
-        coeffs = derive_set_b(spec.coeffs.alpha0, spec.coeffs.mu,
-                              spec.coeffs.k, spec.coeffs.delta, other)
-    return replace(spec, branch=other, coeffs=coeffs)
+def _hyperbolic_amp(q, c1, c2, xi):
+    th = q * xi
+    A = c1 * np.sinh(th) + c2 * np.cosh(th)
+    return A, q * (c1 * np.cosh(th) + c2 * np.sinh(th)), q * q * A
 
 
-def _check_case(case: CaseKind, lam, mu, eps_disc=DEFAULT_EPS_DISC):
-    actual = classify_case(lam, mu, eps_disc)
-    if actual is not case:
-        raise CaseMismatchError(
-            f"case {case.value} inconsistent with lambda^2-4mu="
-            f"{discriminant(lam, mu):.6g} ({actual.value})"
-        )
+def _hyperbolic_ratio(q, c1, c2, xi):
+    T = np.tanh(q * xi)  # stays bounded where cosh overflows (|q*xi| > ~710)
+    return q * (c1 + c2 * T), c1 * T + c2
+
+
+def _trigonometric_amp(q, c1, c2, xi):
+    th = q * xi
+    A = c1 * np.cos(th) + c2 * np.sin(th)
+    return A, q * (-c1 * np.sin(th) + c2 * np.cos(th)), -q * q * A
+
+
+def _trigonometric_ratio(q, c1, c2, xi):
+    s, co = np.sin(q * xi), np.cos(q * xi)
+    return q * (-c1 * s + c2 * co), c1 * co + c2 * s
+
+
+def _trigonometric_zeros(q, c1, c2, xi_lo, xi_hi):
+    # A = R*cos(q*xi - p0) vanishes at q*xi = p0 + pi/2 + n*pi
+    p0 = math.atan2(c2, c1)
+    n_lo = math.floor((q * xi_lo - p0 - 0.5 * math.pi) / math.pi) - 1
+    n_hi = math.ceil((q * xi_hi - p0 - 0.5 * math.pi) / math.pi) + 1
+    return [(p0 + 0.5 * math.pi + n * math.pi) / q for n in range(n_lo, n_hi + 1)]
+
+
+class _Forms(NamedTuple):
+    """The closed forms of one regime of G'' + lam*G' + mu*G = 0.
+
+    G = exp(-lam*xi/2) * A(xi) with a bounded amplitude A, and each form
+    takes the rate q = sqrt(|lam^2 - 4*mu|)/2.  amp gives (A, A', A'') on
+    arrays; ratio gives A'/A as (num, den) with both bounded; zeros gives the
+    analytic zeros of A, the poles of phi, covering [xi_lo, xi_hi]; den is
+    ratio's den at one point through scalar math calls, for the brentq
+    polish (np.tanh and math.tanh may differ in the last ulp, and polished
+    poles must not move); period gives the period of phi, None if aperiodic.
+    """
+
+    amp: Callable
+    ratio: Callable
+    zeros: Callable
+    den: Callable
+    period: Callable = lambda q: None
+
+
+_CASES = {
+    # A = c1*sinh(q*xi) + c2*cosh(q*xi), q = sqrt(lam^2 - 4*mu)/2
+    CaseKind.HYPERBOLIC: _Forms(
+        amp=_hyperbolic_amp,
+        ratio=_hyperbolic_ratio,
+        # tanh(q*xi) = -c2/c1 has a root only when |c2| < |c1|
+        zeros=lambda q, c1, c2, xi_lo, xi_hi: (
+            [math.atanh(-c2 / c1) / q] if c1 != 0 and abs(c2) < abs(c1) else []),
+        den=lambda q, c1, c2, xi: c1 * math.tanh(q * xi) + c2),
+    # A = c1*cos(q*xi) + c2*sin(q*xi), q = sqrt(4*mu - lam^2)/2
+    CaseKind.TRIGONOMETRIC: _Forms(
+        amp=_trigonometric_amp,
+        ratio=_trigonometric_ratio,
+        zeros=_trigonometric_zeros,
+        den=lambda q, c1, c2, xi: c1 * math.cos(q * xi) + c2 * math.sin(q * xi),
+        period=lambda q: math.pi / q),
+    # A = c1 + c2*xi
+    CaseKind.DEGENERATE: _Forms(
+        amp=lambda q, c1, c2, xi: (c1 + c2 * xi, np.full_like(xi, float(c2)),
+                                   np.zeros_like(xi)),
+        ratio=lambda q, c1, c2, xi: (c2, c1 + c2 * xi),
+        zeros=lambda q, c1, c2, xi_lo, xi_hi: [-c1 / c2] if c2 != 0 else [],
+        den=lambda q, c1, c2, xi: c1 + c2 * xi),
+}
+
+
+def _forms(case: CaseKind, lam, mu):
+    """The table entry of case, checked against (lam, mu), and its rate q."""
+    _check_case(case, lam, mu)
+    return _CASES[case], 0.5 * math.sqrt(abs(lam * lam - 4.0 * mu))
 
 
 def eval_G(case: CaseKind, lam, mu, c1, c2, xi):
-    """The auxiliary solution G and its derivative G' at xi (vectorized).
+    """The auxiliary solution G and its derivatives G', G'' at xi (vectorized).
 
     Hyperbolic:     G = exp(-lam*xi/2) * (c1*sinh(r*xi/2) + c2*cosh(r*xi/2))
     Trigonometric:  G = exp(-lam*xi/2) * (c1*cos(w*xi) + c2*sin(w*xi))
     Degenerate:     G = (c1 + c2*xi) * exp(-lam*xi/2)
 
-    with r = sqrt(lam^2-4mu), w = sqrt(4mu-lam^2)/2.
+    with r = sqrt(lam^2-4mu), w = sqrt(4mu-lam^2)/2.  G'' is differentiated
+    from the case formula, never taken from the ODE.
     """
-    _check_case(case, lam, mu)
     xi = np.asarray(xi, dtype=float)
     E = np.exp(-0.5 * lam * xi)
-    if case is CaseKind.HYPERBOLIC:
-        r = math.sqrt(lam * lam - 4.0 * mu)
-        th = 0.5 * r * xi
-        A = c1 * np.sinh(th) + c2 * np.cosh(th)
-        Ap = 0.5 * r * (c1 * np.cosh(th) + c2 * np.sinh(th))
-    elif case is CaseKind.TRIGONOMETRIC:
-        w = 0.5 * math.sqrt(4.0 * mu - lam * lam)
-        A = c1 * np.cos(w * xi) + c2 * np.sin(w * xi)
-        Ap = w * (-c1 * np.sin(w * xi) + c2 * np.cos(w * xi))
-    else:
-        A = c1 + c2 * xi
-        Ap = np.full_like(xi, float(c2))
-    G = E * A
-    Gp = E * (Ap - 0.5 * lam * A)
-    return G, Gp
+    forms, q = _forms(case, lam, mu)
+    A, Ap, App = forms.amp(q, c1, c2, xi)
+    return (E * A, E * (Ap - 0.5 * lam * A),
+            E * (App - lam * Ap + 0.25 * lam * lam * A))
 
 
-def _phi_den(case: CaseKind, lam, mu, c1, c2, xi):
-    """phi = G'/G via the case-specific closed ratio, plus a bounded denominator.
+def phi_with_mask(case: CaseKind, lam, mu, c1, c2, xi):
+    """phi and a validity mask (False where the pole floor is hit).
 
-    The exponential prefactor of G cancels analytically; the hyperbolic ratio
-    is rewritten through tanh so intermediates stay bounded for large |xi|
-    (cosh overflows near |theta| ~ 710 otherwise).
-
-    Returns (phi, den) where den is the scaled denominator whose zeros are
-    the poles of phi; entries of phi where den ~ 0 are unreliable.
+    The exponential prefactor of G cancels in phi = G'/G, which leaves
+    phi = -lam/2 + A'/A through the case's bounded ratio.
     """
-    xi = np.asarray(xi, dtype=float)
-    if case is CaseKind.HYPERBOLIC:
-        r = math.sqrt(lam * lam - 4.0 * mu)
-        T = np.tanh(0.5 * r * xi)
-        num = c1 + c2 * T
-        den = c1 * T + c2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi = -0.5 * lam + 0.5 * r * num / den
-    elif case is CaseKind.TRIGONOMETRIC:
-        w = 0.5 * math.sqrt(4.0 * mu - lam * lam)
-        s, co = np.sin(w * xi), np.cos(w * xi)
-        num = -c1 * s + c2 * co
-        den = c1 * co + c2 * s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi = -0.5 * lam + w * num / den
-    elif case is CaseKind.DEGENERATE:
-        den = c1 + c2 * xi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi = c2 / den - 0.5 * lam
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    return phi, den
-
-
-def phi_with_mask(case: CaseKind, lam, mu, c1, c2, xi, eps_disc=DEFAULT_EPS_DISC):
-    """phi and a validity mask (False where the pole floor is hit)."""
-    _check_case(case, lam, mu, eps_disc)
-    phi, den = _phi_den(case, lam, mu, c1, c2, xi)
+    forms, q = _forms(case, lam, mu)
+    num, den = forms.ratio(q, c1, c2, np.asarray(xi, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = -0.5 * lam + num / den
     ok = np.abs(den) >= POLE_FLOOR * (abs(c1) + abs(c2))
     return phi, ok
 
@@ -283,10 +293,7 @@ def eval_phi(case: CaseKind, lam, mu, c1, c2, xi):
 
 def phi_derivatives(case: CaseKind, lam, mu, c1, c2, xi):
     """(phi, phi', phi'') using the Riccati identity phi' = -(mu + lam*phi + phi^2)."""
-    phi, ok = phi_with_mask(case, lam, mu, c1, c2, xi)
-    if not np.all(ok):
-        bad = float(np.atleast_1d(np.asarray(xi, float))[~np.atleast_1d(ok)][0])
-        raise PoleError(bad)
+    phi = eval_phi(case, lam, mu, c1, c2, xi)
     dphi = -(mu + lam * phi + phi * phi)
     d2phi = -(lam + 2.0 * phi) * dphi
     return phi, dphi, d2phi
@@ -316,47 +323,19 @@ def find_singularities_raw(case: CaseKind, lam, mu, c1, c2, xi_lo, xi_hi):
     """All zeros of the case denominator in [xi_lo, xi_hi], sorted.
 
     Roots are located analytically and polished by bracketing on the bounded
-    denominator; an empty list is a valid result.
+    denominator; an empty list is a valid result.  A case that disagrees
+    with lam^2 - 4*mu raises CaseMismatchError.
     """
     if xi_lo >= xi_hi:
         raise ValueError("need xi_lo < xi_hi")
+    forms, q = _forms(case, lam, mu)
+
+    def den(xi):
+        return forms.den(q, c1, c2, xi)
+
     scale = abs(c1) + abs(c2)
-    roots = []
-    if case is CaseKind.HYPERBOLIC:
-        # c1*sinh(th) + c2*cosh(th) = 0  <=>  tanh(th) = -c2/c1, |c2| < |c1|
-        r = math.sqrt(lam * lam - 4.0 * mu)
-        if c1 != 0 and abs(c2) < abs(c1):
-            roots.append(2.0 * math.atanh(-c2 / c1) / r)
-
-        def den(xi):
-            return c1 * math.tanh(0.5 * r * xi) + c2
-
-    elif case is CaseKind.TRIGONOMETRIC:
-        # c1*cos(w xi) + c2*sin(w xi) = R*cos(w xi - p0): zeros at
-        # w xi = p0 + pi/2 + n pi
-        w = 0.5 * math.sqrt(4.0 * mu - lam * lam)
-        p0 = math.atan2(c2, c1)
-        n_lo = math.floor((w * xi_lo - p0 - 0.5 * math.pi) / math.pi) - 1
-        n_hi = math.ceil((w * xi_hi - p0 - 0.5 * math.pi) / math.pi) + 1
-        for n in range(n_lo, n_hi + 1):
-            roots.append((p0 + 0.5 * math.pi + n * math.pi) / w)
-
-        def den(xi):
-            return c1 * math.cos(w * xi) + c2 * math.sin(w * xi)
-
-    elif case is CaseKind.DEGENERATE:
-        if c2 != 0:
-            roots.append(-c1 / c2)
-
-        def den(xi):
-            return c1 + c2 * xi
-
-    else:
-        raise ValueError(f"unknown case {case!r}")
-
     out = []
-    width = xi_hi - xi_lo
-    for x0 in roots:
+    for x0 in forms.zeros(q, c1, c2, xi_lo, xi_hi):
         if not (xi_lo <= x0 <= xi_hi):
             continue
         # polish inside a small bracket when the sign change is resolvable
@@ -367,13 +346,8 @@ def find_singularities_raw(case: CaseKind, lam, mu, c1, c2, xi_lo, xi_hi):
         if abs(den(x0)) > 1e-10 * scale:  # analytic root must check out
             continue
         out.append(x0)
-    out.sort()
-    # collapse duplicates from bracket overlap
-    dedup = []
-    for x0 in out:
-        if not dedup or abs(x0 - dedup[-1]) > 1e-12 * max(1.0, width):
-            dedup.append(x0)
-    return dedup
+    # distinct analytic zeros stay distinct: each polish keeps to its own bracket
+    return sorted(out)
 
 
 def find_singularities(spec: SolutionSpec, xi_lo, xi_hi):
@@ -385,7 +359,5 @@ def find_singularities(spec: SolutionSpec, xi_lo, xi_hi):
 
 def period_case2(lam, mu) -> float:
     """Period of phi in the trigonometric regime: 2*pi/sqrt(4*mu - lam^2)."""
-    d = 4.0 * mu - lam * lam
-    if d <= 0:
-        raise ValueError(f"4*mu - lam^2 must be positive, got {d:.6g}")
-    return 2.0 * math.pi / math.sqrt(d)
+    forms, q = _forms(CaseKind.TRIGONOMETRIC, lam, mu)
+    return forms.period(q)

@@ -1,4 +1,4 @@
-"""Model parameters, parameter-relation checks, and regime classification.
+"""The model and the classification of its traveling-wave regimes.
 
 The PDE system is
 
@@ -6,16 +6,12 @@ The PDE system is
     v_t = v_xx + k*u*v - beta*v - delta*v**3
 
 obtained from the general predator-prey model under the closure relations
-m = beta and k + 1/sqrt(delta) = beta + 1.  The closure relations are
-treated as warning-level diagnostics: the traveling-wave machinery only
-needs the structure of the reduced system, and useful parameter regimes
-(including the reference figure regimes) violate them.
+m = beta and k + 1/sqrt(delta) = beta + 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 DEFAULT_EPS_DISC = 1e-9
@@ -27,76 +23,6 @@ class CaseKind(Enum):
     HYPERBOLIC = "hyperbolic"
     TRIGONOMETRIC = "trigonometric"
     DEGENERATE = "degenerate"
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Positive PDE parameters (k, delta, m, beta)."""
-
-    k: float
-    delta: float
-    m: float
-    beta: float
-
-    def __post_init__(self):
-        for name in ("k", "delta", "m", "beta"):
-            val = getattr(self, name)
-            if not math.isfinite(val):
-                raise ValueError(f"{name} must be finite, got {val}")
-            if val <= 0:
-                raise ValueError(f"{name} must be strictly positive, got {val}")
-
-    def closure_gap(self) -> float:
-        """|k + 1/sqrt(delta) - (beta + 1)|."""
-        return abs(self.k + 1.0 / math.sqrt(self.delta) - (self.beta + 1.0))
-
-    def mortality_gap(self) -> float:
-        """|m - beta|."""
-        return abs(self.m - self.beta)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate_model_params: positivity flags plus both gaps."""
-
-    positive: dict
-    closure_gap: float
-    mortality_gap: float
-    tol: float
-
-    @property
-    def all_positive(self) -> bool:
-        return all(self.positive.values())
-
-    @property
-    def closure_consistent(self) -> bool:
-        return (
-            self.all_positive
-            and self.closure_gap < self.tol
-            and self.mortality_gap < self.tol
-        )
-
-
-def validate_model_params(k, delta, m, beta, tol=1e-9) -> ValidationReport:
-    """Check positivity and both parameter relations without raising.
-
-    Inconsistency is reported, not fatal; only non-finite input raises.
-    """
-    vals = {"k": k, "delta": delta, "m": m, "beta": beta}
-    for name, val in vals.items():
-        if not math.isfinite(val):
-            raise ValueError(f"{name} must be finite, got {val}")
-    positive = {name: val > 0 for name, val in vals.items()}
-    if delta > 0:
-        closure = abs(k + 1.0 / math.sqrt(delta) - (beta + 1.0))
-    else:
-        closure = math.inf
-    return ValidationReport(
-        positive=positive,
-        closure_gap=closure,
-        mortality_gap=abs(m - beta),
-        tol=tol,
-    )
 
 
 def discriminant(lam: float, mu: float) -> float:

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import AlleeWavesError, PoleError
 from .exact import (CaseKind, SolutionSpec, eval_G, eval_uv, find_singularities,
-                    phi_derivatives, set_a_reference_alpha0)
-from .model import discriminant
+                    phi_derivatives)
 
 MIN_EXCLUSION_RADIUS = 1e-3
 
@@ -32,8 +31,8 @@ class ResidualReport:
     max_abs: tuple
     max_location: tuple
     l2: tuple
-    n_excluded: int
-    exclusion_radius: float
+    n_excluded: int = 0
+    exclusion_radius: float = 0.0
     extra: tuple = field(default_factory=tuple)  # (key, value) diagnostics
 
     @property
@@ -81,17 +80,13 @@ def _ode_rows(spec: SolutionSpec, u, up, upp, v, vp, vpp):
     return r1, r2
 
 
-def exclusion_radius_for(h_grid: float) -> float:
-    return max(10.0 * h_grid, MIN_EXCLUSION_RADIUS)
-
-
 def ode_residual(spec: SolutionSpec, xi_lo, xi_hi, n_samples=2001) -> ResidualReport:
     """Residuals of the traveling-wave ODE system on a pole-excluded grid."""
     if n_samples < 16:
         raise ValueError("need n_samples >= 16")
     xi = np.linspace(xi_lo, xi_hi, n_samples)
     h = (xi_hi - xi_lo) / (n_samples - 1)
-    radius = exclusion_radius_for(h)
+    radius = max(10.0 * h, MIN_EXCLUSION_RADIUS)
     poles = find_singularities(spec, xi_lo - radius, xi_hi + radius)
     keep = np.ones(n_samples, dtype=bool)
     for p in poles:
@@ -136,21 +131,21 @@ def pde_residual(spec: SolutionSpec, x_window, t_window, nx=401, nt=101) -> Resi
     """Residuals of the PDE system from finite differences of sampled fields.
 
     The window must stay clear of the traveling pole trajectories for the
-    whole time range; first contact is reported otherwise.
+    whole time range; otherwise PoleError reports where a pole line enters it.
     """
     if nx < 8 or nt < 8:
         raise ValueError("need nx, nt >= 8")
     x0, x1 = x_window
     t0, t1 = t_window
     co = spec.coeffs
-    # pole trajectory x(t) = xi* + c t; check both window endpoints in xi
+    # the window covers exactly xi in [lo, hi], so a pole line x = xi* + c*t
+    # meets it iff xi* lies there
     lo = min(x0 - co.c * t0, x0 - co.c * t1)
     hi = max(x1 - co.c * t0, x1 - co.c * t1)
-    for p in find_singularities(spec, lo, hi):
-        for tt in np.linspace(t0, t1, 64):
-            xp = p + co.c * tt
-            if x0 <= xp <= x1:
-                raise PoleError(xp, p)
+    poles = find_singularities(spec, lo, hi)
+    if poles:
+        p = poles[0]
+        raise PoleError(min(max(p + co.c * t0, x0), x1), p)
 
     x = np.linspace(x0, x1, nx)
     t = np.linspace(t0, t1, nt)
@@ -181,8 +176,6 @@ def pde_residual(spec: SolutionSpec, x_window, t_window, nx=401, nt=101) -> Resi
         max_location=(loc(r1), loc(r2)),
         l2=(float(np.sqrt(hx * ht * np.sum(r1 * r1))),
             float(np.sqrt(hx * ht * np.sum(r2 * r2)))),
-        n_excluded=0,
-        exclusion_radius=0.0,
         extra=(("fd_truncation_scale", max(hx, ht) ** 4),),
     )
 
@@ -192,26 +185,16 @@ def check_G_ode(case: CaseKind, lam, mu, c1, c2, xi_grid) -> ResidualReport:
 
     G'' is differentiated directly from the case formula (never substituted
     from the ODE), and the result is normalized by max|G| on the grid.
+    Raises AlleeWavesError where G, G' or G'' is not finite: exp(-lam*xi/2)
+    overflows on wide windows.
     """
     xi = np.asarray(xi_grid, dtype=float)
-    G, Gp = eval_G(case, lam, mu, c1, c2, xi)
-    E = np.exp(-0.5 * lam * xi)
-    if case is CaseKind.HYPERBOLIC:
-        r = math.sqrt(lam * lam - 4.0 * mu)
-        th = 0.5 * r * xi
-        A = c1 * np.sinh(th) + c2 * np.cosh(th)
-        Ap = 0.5 * r * (c1 * np.cosh(th) + c2 * np.sinh(th))
-        App = 0.25 * r * r * A
-    elif case is CaseKind.TRIGONOMETRIC:
-        w = 0.5 * math.sqrt(4.0 * mu - lam * lam)
-        A = c1 * np.cos(w * xi) + c2 * np.sin(w * xi)
-        Ap = w * (-c1 * np.sin(w * xi) + c2 * np.cos(w * xi))
-        App = -w * w * A
-    else:
-        A = c1 + c2 * xi
-        Ap = np.full_like(xi, float(c2))
-        App = np.zeros_like(xi)
-    Gpp = E * (App - lam * Ap + 0.25 * lam * lam * A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G, Gp, Gpp = eval_G(case, lam, mu, c1, c2, xi)
+    finite = np.isfinite(G) & np.isfinite(Gp) & np.isfinite(Gpp)
+    if not finite.all():
+        raise AlleeWavesError(f"G or its derivatives are not finite at"
+                              f" xi={xi[~finite][0]:.6g}; narrow the window")
     res = Gpp + lam * Gp + mu * G
     scale = float(np.max(np.abs(G)))
     norm = np.abs(res) / (scale if scale > 0 else 1.0)
@@ -221,8 +204,6 @@ def check_G_ode(case: CaseKind, lam, mu, c1, c2, xi_grid) -> ResidualReport:
         max_abs=(float(norm[i]),),
         max_location=(float(xi[i]),),
         l2=(float(np.sqrt(np.mean(norm * norm))),),
-        n_excluded=0,
-        exclusion_radius=0.0,
     )
 
 
@@ -240,25 +221,6 @@ def derivative_crosscheck(fn, dfn, xi_grid, h) -> float:
         / (12.0 * h)
     ana = dfn(xi)
     return float(np.max(np.abs(fd - ana) / np.maximum(1.0, np.abs(ana))))
-
-
-def discriminant_diagnostic(k, mu, delta=1.0):
-    """Side-by-side discriminant expressions for the family-(a) special alpha0.
-
-    The narrative identity lam^2-4mu = k/2 - 2*beta and the alternative
-    criterion built from k^2 disagree with each other; this returns all three
-    numbers so the mismatch is visible rather than baked in.  delta only
-    enters the family constructor, not the discriminant.
-    """
-    alpha0 = set_a_reference_alpha0(mu, k)
-    from .exact import derive_set_a
-    co = derive_set_a(alpha0, mu, k, delta, "upper")
-    beta = co.beta_model
-    return {
-        "lambda_sq_minus_4mu": discriminant(co.lam, co.mu),
-        "k_over_2_minus_2beta": k / 2.0 - 2.0 * beta,
-        "k_sq_over_2_minus_2beta": k * k / 2.0 - 2.0 * beta,
-    }
 
 
 def estimate_period(values, spacing) -> float:
@@ -313,7 +275,7 @@ def estimate_period(values, spacing) -> float:
     m = max(1, int((n - 2) // max(p1, 1.0) * 0.75))
     km = int(round(m * p1))
     if km >= n - 1:
-        m, km = 1, k1
+        raise ValueError("period exceeds the usable window")
     lo_k = max(1, km - max(2, int(0.2 * p1)))
     hi_k = min(n - 1, km + max(2, int(0.2 * p1)) + 1)
     kbest = lo_k + int(np.argmax(ac[lo_k:hi_k]))

@@ -90,6 +90,12 @@ class TestVerify:
         assert "prey" in text and "predator" in text
 
 
+    def test_overflowing_window_is_numeric_failure(self, tmp_path, capsys):
+        assert main(["verify", *FIG1, "--xi-min", "-300", "--xi-max", "300",
+                     "--out", str(tmp_path)]) == 3
+        assert "xi=" in capsys.readouterr().err
+
+
 SIM_BASE = ["--family", "A", "--alpha0", "1.2", "--mu", "0.2", "--k", "5.9",
             "--delta", "3", "--c1", "10", "--c2", "20",
             "--x-min", "-10", "--x-max", "10", "--dx", "0.1"]

@@ -7,10 +7,10 @@ from alleewaves.errors import (CaseMismatchError, PoleError,
                                SingularParameterError)
 from alleewaves.exact import (derive_set_a, derive_set_b, eval_G, eval_phi,
                               eval_uv, find_singularities,
-                              find_singularities_raw, flip_branch, make_spec,
-                              period_case2, phi_derivatives, phi_with_mask,
-                              set_a_reference_alpha0, set_b_reference_alpha0)
-from alleewaves.model import CaseKind, classify_case, discriminant
+                              find_singularities_raw, make_spec, period_case2,
+                              phi_derivatives, phi_with_mask,
+                              set_b_reference_alpha0)
+from alleewaves.model import CaseKind, discriminant
 from alleewaves.verify import ode_residual
 
 SQRT2 = math.sqrt(2.0)
@@ -114,31 +114,23 @@ class TestDeriveSetB:
 
 
 class TestPaperAlpha0Selections:
-    def test_set_a_value(self):
-        assert set_a_reference_alpha0(0.5, 2.0) == pytest.approx(-(2.0 + 2.0) / 2.0)
-
-    def test_set_a_forces_hyperbolic(self):
-        for k, mu in [(1.0, 0.5), (5.9, 0.2), (0.3, 2.0)]:
-            co = derive_set_a(set_a_reference_alpha0(mu, k), mu, k, 1.0, "upper")
-            assert classify_case(co.lam, co.mu) is CaseKind.HYPERBOLIC
-
     def test_set_b_value(self):
         assert set_b_reference_alpha0(2.0) == pytest.approx(2.0)
 
 
 class TestEvalG:
     def test_degenerate_at_origin(self):
-        G, Gp = eval_G(CaseKind.DEGENERATE, 2.0, 1.0, 1.0, 0.0, 0.0)
+        G, Gp, _ = eval_G(CaseKind.DEGENERATE, 2.0, 1.0, 1.0, 0.0, 0.0)
         assert G == 1.0
         assert Gp == -1.0
 
     def test_hyperbolic_pure_cosh(self):
-        G, Gp = eval_G(CaseKind.HYPERBOLIC, 0.0, -1.0, 0.0, 1.0, 0.0)
+        G, Gp, _ = eval_G(CaseKind.HYPERBOLIC, 0.0, -1.0, 0.0, 1.0, 0.0)
         assert G == 1.0
         assert Gp == 0.0
 
     def test_trigonometric_cos(self):
-        G, Gp = eval_G(CaseKind.TRIGONOMETRIC, 0.0, 1.0, 1.0, 0.0, math.pi)
+        G, Gp, _ = eval_G(CaseKind.TRIGONOMETRIC, 0.0, 1.0, 1.0, 0.0, math.pi)
         assert G == pytest.approx(-1.0)
         assert Gp == pytest.approx(0.0, abs=1e-15)
 
@@ -185,7 +177,7 @@ class TestEvalPhi:
             if abs(c1) + abs(c2) < 0.1:
                 c1 = 1.0
             xi = np.linspace(-8, 8, 401)
-            G, Gp = eval_G(case, lam, mu, c1, c2, xi)
+            G, Gp, _ = eval_G(case, lam, mu, c1, c2, xi)
             phi, ok = phi_with_mask(case, lam, mu, c1, c2, xi)
             keep = ok & (np.abs(G) > 1e-6 * (abs(c1) + abs(c2)))
             np.testing.assert_allclose(phi[keep], Gp[keep] / G[keep],
@@ -259,7 +251,7 @@ class TestEvalUV:
 
     def test_branch_contract(self):
         up = fig1_spec("upper")
-        lo = flip_branch(up)
+        lo = fig1_spec("lower")
         assert lo.coeffs.alpha1 == -up.coeffs.alpha1
         assert lo.coeffs.beta1 == -up.coeffs.beta1
         assert lo.coeffs.c == -up.coeffs.c
@@ -328,6 +320,11 @@ class TestFindSingularities:
                                      -5.0, 5.0)
         assert got == []
 
+    def test_case_mismatch(self):
+        with pytest.raises(CaseMismatchError):
+            find_singularities_raw(CaseKind.HYPERBOLIC, 0.0, 1.0, 1.0, 0.0,
+                                   -5.0, 5.0)
+
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             find_singularities_raw(CaseKind.DEGENERATE, 2.0, 1.0, 1.0, 1.0,
@@ -344,6 +341,11 @@ class TestPeriodCase2:
 
     def test_half_angle(self):
         assert period_case2(0.0, 0.25) == pytest.approx(2 * math.pi)
+
+    def test_spec_period_only_when_periodic(self):
+        spec = make_spec("A", 3.0, 5.0, 12.2, 2.0, "upper", 20.0, -10.0)
+        assert spec.period == period_case2(spec.coeffs.lam, spec.coeffs.mu)
+        assert fig1_spec().period is None
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

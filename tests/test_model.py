@@ -3,64 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from alleewaves.model import (CaseKind, ModelParams, classify_case,
-                              discriminant, validate_model_params)
+from alleewaves.model import CaseKind, classify_case, discriminant
 
 SQRT2 = math.sqrt(2.0)
-
-
-class TestValidateModelParams:
-    def test_consistent_closure(self):
-        beta = 5.9 + 1.0 / math.sqrt(3.0) - 1.0  # ~5.47735
-        rep = validate_model_params(5.9, 3.0, beta, beta)
-        assert rep.closure_consistent
-        assert rep.closure_gap == pytest.approx(0.0, abs=1e-12)
-        assert rep.mortality_gap == 0.0
-
-    def test_unit_parameters(self):
-        rep = validate_model_params(1.0, 1.0, 1.0, 1.0)
-        assert rep.closure_gap == 0.0
-        assert rep.mortality_gap == 0.0
-        assert rep.closure_consistent
-
-    def test_figure1_regime_is_inconsistent(self):
-        # beta implied by the family at the figure-1 inputs violates closure
-        rep = validate_model_params(5.9, 3.0, 6.04, 6.04)
-        assert rep.closure_gap == pytest.approx(0.56265, abs=1e-5)
-        assert rep.mortality_gap == 0.0
-        assert not rep.closure_consistent
-
-    def test_nonfinite_raises(self):
-        with pytest.raises(ValueError):
-            validate_model_params(math.nan, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            validate_model_params(1.0, math.inf, 1.0, 1.0)
-
-    def test_negative_reported_not_fatal(self):
-        rep = validate_model_params(-1.0, 1.0, 1.0, 1.0)
-        assert not rep.positive["k"]
-        assert not rep.closure_consistent
-
-    def test_monotone_in_tol(self):
-        rng = np.random.RandomState(7)
-        for _ in range(100):
-            k, d, m, b = rng.uniform(0.1, 5.0, 4)
-            t1, t2 = sorted(rng.uniform(1e-6, 2.0, 2))
-            r1 = validate_model_params(k, d, m, b, tol=t1)
-            r2 = validate_model_params(k, d, m, b, tol=t2)
-            if r1.closure_consistent:
-                assert r2.closure_consistent
-
-
-class TestModelParams:
-    def test_requires_positive(self):
-        with pytest.raises(ValueError):
-            ModelParams(k=0.0, delta=1.0, m=1.0, beta=1.0)
-
-    def test_gaps(self):
-        p = ModelParams(k=1.0, delta=1.0, m=1.0, beta=1.0)
-        assert p.closure_gap() == 0.0
-        assert p.mortality_gap() == 0.0
 
 
 class TestDiscriminant:

@@ -8,8 +8,7 @@ from alleewaves.errors import AlleeWavesError, PoleError
 from alleewaves.exact import eval_phi, eval_uv, make_spec, phi_derivatives
 from alleewaves.model import CaseKind
 from alleewaves.verify import (check_G_ode, derivative_crosscheck,
-                               discriminant_diagnostic, estimate_period,
-                               ode_residual, pde_residual)
+                               estimate_period, ode_residual, pde_residual)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -88,6 +87,14 @@ class TestPdeResidual:
         with pytest.raises(PoleError):
             pde_residual(fig1_spec(), (-2.0, 2.0), (0.0, 0.2), 64, 33)
 
+    def test_pole_crossing_between_time_samples_rejected(self):
+        # the pole line x = -0.476 + c*t (c ~ -4.17) enters this 0.01-wide
+        # window at x = -49.99, t ~ 11.9, and leaves it 0.0024 later
+        with pytest.raises(PoleError) as exc:
+            pde_residual(fig1_spec(), (-50.0, -49.99), (0.0, 100.0), 16, 16)
+        assert exc.value.xi == -49.99
+        assert exc.value.xi_pole == pytest.approx(-0.476085, abs=1e-5)
+
     def test_minimum_resolution(self):
         with pytest.raises(ValueError):
             pde_residual(fig1_spec(), (1.0, 5.0), (0.0, 0.2), 4, 33)
@@ -108,6 +115,13 @@ class TestCheckGOde:
         rep = check_G_ode(CaseKind.TRIGONOMETRIC, 0.0, 1.0, 1.0, 1.0,
                           np.linspace(-10, 10, 501))
         assert rep.max_abs[0] < 1e-13
+
+
+    def test_overflow_raises(self):
+        # exp(-lam*xi/2)*cosh(r*xi/2) exceeds the largest double near xi = 295
+        with pytest.raises(AlleeWavesError, match=r"xi=29\d"):
+            check_G_ode(CaseKind.HYPERBOLIC, -2.47487, 0.2, 20.0, 10.0,
+                        np.linspace(-300, 300, 1001))
 
 
 class TestDerivativeCrosscheck:
@@ -158,18 +172,6 @@ class TestDerivativeCrosscheck:
                                   np.linspace(0, 1, 10), 0.0)
 
 
-class TestDiscriminantDiagnostic:
-    def test_prose_forms_disagree(self):
-        d = discriminant_diagnostic(5.9, 0.2)
-        # lam^2-4mu is positive for this selection; the two prose rewrites
-        # disagree with it and with each other
-        assert d["lambda_sq_minus_4mu"] > 0
-        assert d["lambda_sq_minus_4mu"] != pytest.approx(
-            d["k_over_2_minus_2beta"], rel=1e-3)
-        assert d["k_over_2_minus_2beta"] != pytest.approx(
-            d["k_sq_over_2_minus_2beta"], rel=1e-3)
-
-
 class TestEstimatePeriod:
     def test_pure_cosine(self):
         x = np.linspace(0, 30, 6000)
@@ -186,3 +188,8 @@ class TestEstimatePeriod:
     def test_aperiodic_rejected(self):
         with pytest.raises(ValueError):
             estimate_period(np.linspace(0, 1, 200) ** 2, 0.01)
+
+    def test_period_beyond_window_rejected(self):
+        vals = np.cos(2 * np.pi * np.arange(64) / 59.5) ** 3
+        with pytest.raises(ValueError, match="usable window"):
+            estimate_period(vals, 1.0)
