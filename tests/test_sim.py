@@ -1,11 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from alleewaves.errors import BlowUpError, StabilityError, TrackingError
-from alleewaves.sim import (GridField, SimConfig, check_stability,
-                            measure_wave_speed, simulate, step)
+from alleewaves.exact import eval_uv_masked, make_spec
+from alleewaves.sim import (STABILITY_SAFETY, GridField, SimConfig,
+                            check_stability, measure_wave_speed, simulate,
+                            step)
 
 
 def uniform_field(u0, v0, n=64, x0=-5.0, dx=0.1):
@@ -29,6 +35,50 @@ def scalar_rk4(u, v, k, delta, beta, dt, n_steps):
         u += (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         v += (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
     return u, v
+
+
+def _laplacian(f, dx, bc):
+    lap = np.empty_like(f)
+    inv = 1.0 / (dx * dx)
+    lap[1:-1] = (f[:-2] - 2.0 * f[1:-1] + f[2:]) * inv
+    if bc == "periodic":
+        lap[0] = (f[-1] - 2.0 * f[0] + f[1]) * inv
+        lap[-1] = (f[-2] - 2.0 * f[-1] + f[0]) * inv
+    else:  # ghost-point reflection: f[-1] := f[1], f[n] := f[n-2]
+        lap[0] = 2.0 * (f[1] - f[0]) * inv
+        lap[-1] = 2.0 * (f[-2] - f[-1]) * inv
+    return lap
+
+
+def _rhs(u, v, dx, cfg: SimConfig):
+    s = 1.0 / math.sqrt(cfg.delta)
+    fu = _laplacian(u, dx, cfg.bc) - cfg.beta * u + (cfg.k + s) * u * u \
+        - u**3 - u * v
+    fv = _laplacian(v, dx, cfg.bc) + cfg.k * u * v - cfg.beta * v \
+        - cfg.delta * v**3
+    return fu, fv
+
+
+def reference_step(field: GridField, cfg: SimConfig) -> GridField:
+    """One classical RK4 step of the unfused kernel, one temporary per term.
+
+    The reference the fused ``step`` is held to: same scheme, same checks,
+    only the order of the floating-point operations differs.
+    """
+    check_stability(cfg, field.dx)
+    dt = cfg.dt
+    u, v = field.u, field.v
+    k1u, k1v = _rhs(u, v, field.dx, cfg)
+    k2u, k2v = _rhs(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, field.dx, cfg)
+    k3u, k3v = _rhs(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, field.dx, cfg)
+    k4u, k4v = _rhs(u + dt * k3u, v + dt * k3v, field.dx, cfg)
+    un = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    vn = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    tn = field.t + dt
+    if not (np.isfinite(un).all() and np.isfinite(vn).all()):
+        bad = np.nonzero(~(np.isfinite(un) & np.isfinite(vn)))[0][0]
+        raise BlowUpError(tn, field.x0 + field.dx * bad)
+    return replace(field, u=un, v=vn, t=tn)
 
 
 class TestConfigAndGrid:
@@ -64,6 +114,13 @@ class TestConfigAndGrid:
         with pytest.raises(StabilityError):
             check_stability(cfg, dx=0.1)  # limit is 0.8*0.01/2 = 0.004
         check_stability(cfg, dx=0.2)
+
+    def test_t_end_must_be_whole_steps(self):
+        with pytest.raises(ValueError, match="whole number"):
+            SimConfig(k=1.0, delta=1.0, beta=1.0, dt=0.3, t_end=1.0)
+        for t_end, dt in ((2.0, 0.004), (2.0, 0.001), (2.0, 0.00025),
+                          (0.1, 0.05), (0.05, 1e-3)):
+            SimConfig(k=1.0, delta=1.0, beta=1.0, dt=dt, t_end=t_end)
 
     def test_simulate_checks_stability(self):
         cfg = SimConfig(k=1.0, delta=1.0, beta=1.0, dt=0.01, t_end=0.1)
@@ -122,6 +179,24 @@ class TestDynamics:
             with pytest.raises(BlowUpError):
                 step(f, cfg)
 
+    @pytest.mark.parametrize("spike", [1e6, 1e20])
+    def test_blowup_names_the_bad_cell(self, spike):
+        # one huge interior value overflows there first; the report names
+        # that cell or its neighbour, as the unfused kernel does
+        j = 23
+        u = np.full(64, 0.1)
+        u[j] = spike
+        f = GridField(x0=-5.0, dx=0.1, u=u, v=np.full(64, 0.1), t=0.25)
+        cfg = SimConfig(k=1.0, delta=1.0, beta=1.0, dt=1e-3, t_end=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as got:
+                step(f, cfg)
+            with pytest.raises(BlowUpError) as want:
+                reference_step(f, cfg)
+        assert got.value.t == 0.25 + 1e-3
+        assert abs(got.value.x - f.x[j]) <= 1.001 * f.dx
+        assert got.value.x == want.value.x
+
     def test_deterministic(self):
         cfg = SimConfig(k=1.2, delta=2.0, beta=0.3, dt=1e-3, t_end=0.05)
         rng = np.random.RandomState(11)
@@ -139,6 +214,54 @@ class TestDynamics:
         assert len(snaps) == 6  # initial + every 10 of 50 steps
         assert snaps[0].t == 0.0
         assert snaps[-1].t == pytest.approx(0.05)
+
+
+    def test_snapshot_times_are_exact(self):
+        # t is i*dt, not a running sum: 2000 sums of 1e-3 give 1.99999999999989
+        cfg = SimConfig(k=1.0, delta=1.0, beta=1.0, dt=1e-3, t_end=2.0,
+                        snapshot_every=500)
+        snaps = simulate(uniform_field(0.1, 0.1, n=8), cfg)
+        assert [f.t for f in snaps] == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+class TestReferenceKernel:
+    """The fused step against the unfused reference_step."""
+
+    # dx <= 0.2 keeps dt times the reaction Jacobian (up to ~150 for these
+    # ranges) inside RK4's stability interval too, so one step cannot grow
+    # the state by orders of magnitude and a relative bound stays meaningful
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(8, 400), dx=st.floats(0.01, 0.2),
+           k=st.floats(0.0, 10.0), delta=st.floats(0.1, 10.0),
+           beta=st.floats(0.0, 5.0), dt_frac=st.floats(0.01, 1.0),
+           bc=st.sampled_from(["neumann", "periodic"]), data=st.data())
+    def test_one_step_matches(self, n, dx, k, delta, beta, dt_frac, bc, data):
+        state = arrays(np.float64, n, elements=st.floats(-2.0, 2.0))
+        u, v = data.draw(state), data.draw(state)
+        dt = dt_frac * (STABILITY_SAFETY * dx * dx / 2.0)
+        cfg = SimConfig(k=k, delta=delta, beta=beta, dt=dt, t_end=dt, bc=bc)
+        f = GridField(x0=-1.0, dx=dx, u=u, v=v, t=0.0)
+        got, want = step(f, cfg), reference_step(f, cfg)
+        scale = max(np.max(np.abs(a)) for a in (u, v, want.u, want.v))
+        assert np.max(np.abs(got.u - want.u)) <= 1e-12 * scale
+        assert np.max(np.abs(got.v - want.v)) <= 1e-12 * scale
+        assert got.t == want.t
+
+    @pytest.mark.parametrize("dx, dt", [(0.1, 0.004), (0.05, 0.001)])
+    def test_criterion_5_set_matches(self, dx, dt):
+        # the acceptance wave-speed run (N=1601) and its coarse grid (N=801)
+        spec = make_spec("A", 1.2, 0.2, 5.9, 3.0, "upper", 10.0, 20.0)
+        x = np.arange(-40.0, 40.0 + 0.5 * dx, dx)
+        u0, v0, _ = eval_uv_masked(spec, x, 0.0)
+        cfg = SimConfig(k=5.9, delta=3.0, beta=spec.coeffs.beta_model,
+                        dt=dt, t_end=2.0, snapshot_every=10**9)
+        f0 = GridField(x0=float(x[0]), dx=dx, u=u0, v=v0, t=0.0)
+        got = simulate(f0, cfg)[-1]
+        want = f0
+        for _ in range(round(cfg.t_end / dt)):
+            want = reference_step(want, cfg)
+        assert np.max(np.abs(got.u - want.u)) <= 1e-10
+        assert np.max(np.abs(got.v - want.v)) <= 1e-10
 
 
 class TestWaveSpeed:
