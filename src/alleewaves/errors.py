@@ -29,7 +29,7 @@ class CaseMismatchError(AlleeWavesError, ValueError):
 
 
 class StabilityError(AlleeWavesError):
-    """Time step violates the explicit diffusion stability bound."""
+    """Time step violates the explicit diffusion or reaction stability bound."""
 
 
 class BlowUpError(AlleeWavesError):

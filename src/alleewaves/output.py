@@ -3,15 +3,27 @@
 CSV layout: '# key=value' provenance lines, a column-name row, then data
 rows with floats printed at 17 significant digits so re-parsing is lossless.
 Masked samples become empty cells plus a nonzero pole_flag.
+
+Both writers format in bulk rather than cell by cell.  ``write_csv`` works
+in blocks of ``_ROW_BLOCK`` rows, so its peak memory does not grow with the
+row count: each column's block becomes a list in one call, and one ``%``
+over the joined row templates and the flat cell values formats the block.
+A masked row's template prints x and swallows its other cells with
+``%.0s``.
+``_svg_path`` maps the finite samples to pixels as arrays, with the same
+IEEE operations in the same order as the scalar form, and joins them in one
+pass.  The bytes written are the same as those of the cell-by-cell form.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
 FLOAT_FMT = "%.17g"
+_ROW_BLOCK = 256  # rows formatted per write: keeps peak memory flat
 
 
 def _fmt(val) -> str:
@@ -27,26 +39,32 @@ def write_csv(path, header: dict, columns: dict, mask=None):
     and pole_flag=1.
     """
     names = list(columns)
+    if not names:
+        raise ValueError("need at least one column")
     arrays = [np.asarray(columns[n]) for n in names]
     n = len(arrays[0])
     if any(len(a) != n for a in arrays):
         raise ValueError("all columns must have the same length")
     if mask is not None and len(mask) != n:
         raise ValueError("mask length must match the columns")
+    row = ",".join([FLOAT_FMT] * len(names))
+    if mask is not None:
+        # a masked row keeps x; %.0s consumes each other cell and prints nothing
+        templates = (FLOAT_FMT + ",%.0s" * (len(names) - 1) + ",1\n", row + ",0\n")
+        valid = np.asarray(mask, dtype=bool)
     with open(path, "w") as fh:
         for key, val in header.items():
             fh.write(f"# {key}={_fmt(val)}\n")
         cols = names + (["pole_flag"] if mask is not None else [])
         fh.write(",".join(cols) + "\n")
-        for i in range(n):
-            if mask is not None and not mask[i]:
-                # keep the x coordinate, blank the field values
-                row = [FLOAT_FMT % arrays[0][i]] + [""] * (len(names) - 1) + ["1"]
+        for lo in range(0, n, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, n)
+            if mask is None:
+                fmt = (row + "\n") * (hi - lo)
             else:
-                row = [FLOAT_FMT % a[i] for a in arrays]
-                if mask is not None:
-                    row.append("0")
-            fh.write(",".join(row) + "\n")
+                fmt = "".join([templates[ok] for ok in valid[lo:hi].tolist()])
+            cells = zip(*[a[lo:hi].tolist() for a in arrays])
+            fh.write(fmt % tuple(chain.from_iterable(cells)))
 
 
 def read_csv(path):
@@ -72,17 +90,14 @@ def read_csv(path):
 
 
 def _svg_path(xs, ys, x_to_px, y_to_px):
-    """Polyline segments, broken at NaNs."""
-    parts = []
-    pen_up = True
-    for x, y in zip(xs, ys):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            pen_up = True
-            continue
-        cmd = "M" if pen_up else "L"
-        parts.append(f"{cmd}{x_to_px(x):.2f},{y_to_px(y):.2f}")
-        pen_up = False
-    return " ".join(parts)
+    """Polyline segments, broken at NaNs; the pixel maps act on arrays."""
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    # the pen lifts at the first sample and after every non-finite one
+    pen_up = np.concatenate(([True], ~finite))[:-1][finite]
+    pens = np.where(pen_up, "M", "L").tolist()
+    px, py = x_to_px(xs[finite]).tolist(), y_to_px(ys[finite]).tolist()
+    fmt = " ".join(["%s%.2f,%.2f"] * len(pens))
+    return fmt % tuple(chain.from_iterable(zip(pens, px, py)))
 
 
 def write_svg(path, x, series, labels, dashed, title=""):
@@ -94,7 +109,10 @@ def write_svg(path, x, series, labels, dashed, title=""):
     width, height = 800, 500
     ml, mr, mt, mb = 60, 20, 40, 45
     x = np.asarray(x, dtype=float)
-    finite = np.concatenate([np.asarray(s, float)[np.isfinite(s)] for s in series])
+    series = [np.asarray(s, float) for s in series]
+    if any(len(s) != len(x) for s in series):
+        raise ValueError("every series must have one value per x")
+    finite = np.concatenate([s[np.isfinite(s)] for s in series])
     if finite.size == 0:
         raise ValueError("nothing to plot")
     y_lo, y_hi = np.percentile(finite, [1.0, 99.0])
@@ -103,6 +121,9 @@ def write_svg(path, x, series, labels, dashed, title=""):
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
+    if not 0.0 < x_hi - x_lo < math.inf:
+        raise ValueError(f"x range [{x_lo:.6g}, {x_hi:.6g}] must be finite"
+                         " with positive width")
 
     def x_px(v):
         return ml + (v - x_lo) / (x_hi - x_lo) * (width - ml - mr)
@@ -136,7 +157,7 @@ def write_svg(path, x, series, labels, dashed, title=""):
     lines.append(f'<clipPath id="{clip_id}"><rect x="{ml}" y="{mt}" '
                  f'width="{width-ml-mr}" height="{height-mt-mb}"/></clipPath>')
     for i, (s, lbl, dsh) in enumerate(zip(series, labels, dashed)):
-        d = _svg_path(x, np.asarray(s, float), x_px, y_px)
+        d = _svg_path(x, s, x_px, y_px)
         dash = ' stroke-dasharray="8,5"' if dsh else ""
         lines.append(f'<path d="{d}" fill="none" stroke="{colors[i % 4]}" '
                      f'stroke-width="1.6" clip-path="url(#{clip_id})"{dash}/>')

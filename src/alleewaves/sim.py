@@ -15,6 +15,11 @@ evaluates the reaction terms in Horner form into preallocated scratch with
 ``out=``.  The stages accumulate in place in a few buffers allocated per
 step; the method and its checks are those of the textbook form, only the
 order of the floating-point operations differs.
+
+Every state the integrator produces, and the initial one, must be finite
+and must keep dt times each local reaction-Jacobian eigenvalue inside RK4's
+real stability interval; otherwise the run raises rather than return a
+finite but meaningless field.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import numpy as np
 from .errors import BlowUpError, StabilityError, TrackingError
 
 STABILITY_SAFETY = 0.8
+RK4_REAL_INTERVAL = 2.785   # RK4 is stable for real dt*lambda in [-2.785, 0]
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,46 @@ def check_stability(cfg: SimConfig, dx: float):
         raise StabilityError(
             f"dt={cfg.dt:.6g} exceeds {STABILITY_SAFETY}*dx^2/2={limit:.6g}"
         )
+
+
+def _check_state(state, t, x0, dx, cfg: SimConfig):
+    """Raise unless the (2, N) state is finite and RK4 is stable on it.
+
+    The one reduction per step is max|u| and max|v|.  NaN propagates
+    through the maximum, so it flags non-finite cells, and by Gershgorin's
+    theorem it bounds every local 2x2 reaction Jacobian.  Only when dt times
+    that bound leaves RK4's real stability interval are the per-cell
+    eigenvalue magnitudes computed.
+    """
+    big_u, big_v = np.maximum(state.max(axis=1), -state.min(axis=1)).tolist()
+    if not (math.isfinite(big_u) and math.isfinite(big_v)):
+        bad = np.nonzero(~np.isfinite(state).all(axis=0))[0][0]
+        raise BlowUpError(t, x0 + dx * bad)
+    k, delta, beta = cfg.k, cfg.delta, cfg.beta
+    # row sums of |J|, J = [[2(k+s)u - 3u^2 - v - beta, -u],
+    #                       [k v, k u - 3 delta v^2 - beta]]
+    bound = max(2.0 * (k + 1.0 / math.sqrt(delta)) * big_u + 3.0 * big_u * big_u
+                + big_v + beta + big_u,
+                k * big_v + k * big_u + 3.0 * delta * big_v * big_v + beta)
+    if cfg.dt * bound <= RK4_REAL_INTERVAL:
+        return
+    u, v = state
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (2.0 * (k + 1.0 / math.sqrt(delta)) - 3.0 * u) * u - v - beta
+        d = k * u - 3.0 * delta * v * v - beta
+        half_tr = 0.5 * (a + d)
+        det = a * d + k * u * v
+        disc = half_tr * half_tr - det
+        # real pair: |tr/2| + sqrt(disc); complex pair: |lambda|^2 = det
+        rho = np.where(disc >= 0.0, np.abs(half_tr) + np.sqrt(np.abs(disc)),
+                       np.sqrt(np.abs(det)))
+        bad = np.nonzero(~(cfg.dt * rho <= RK4_REAL_INTERVAL))[0]
+    if bad.size:
+        i = bad[0]
+        raise StabilityError(
+            f"dt={cfg.dt:.6g} times the reaction Jacobian's spectral radius"
+            f" {rho[i]:.6g} exceeds RK4's real stability interval"
+            f" {RK4_REAL_INTERVAL} at t={t:.6g}, x={x0 + dx * i:.6g}")
 
 
 def _stage_rhs(y, out, scratch, dx, cfg: SimConfig):
@@ -155,10 +201,7 @@ def step(field: GridField, cfg: SimConfig) -> GridField:
     acc += y0
     new = acc.reshape(2, n + 2)[:, 1:-1]
     tn = field.t + dt
-    finite = np.isfinite(new)
-    if not finite.all():
-        bad = np.nonzero(~finite.all(axis=0))[0][0]
-        raise BlowUpError(tn, field.x0 + dx * bad)
+    _check_state(new, tn, field.x0, dx, cfg)
     return replace(field, u=new[0], v=new[1], t=tn)
 
 
@@ -169,6 +212,8 @@ def simulate(initial: GridField, cfg: SimConfig):
     last one.  Deterministic for identical inputs.
     """
     check_stability(cfg, initial.dx)
+    _check_state(np.stack((initial.u, initial.v)), initial.t, initial.x0,
+                 initial.dx, cfg)
     n_steps = round(cfg.t_end / cfg.dt)
     snapshots = [initial]
     f = initial

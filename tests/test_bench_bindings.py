@@ -42,3 +42,10 @@ def test_counted_names_exist():
 def test_simulate_takes_initial_first():
     from alleewaves.sim import simulate
     assert next(iter(inspect.signature(simulate).parameters)) == "initial"
+
+
+def test_output_writers_take_the_traced_parameters():
+    # the tracer reads these arguments by name to count rows and bytes
+    from alleewaves.output import write_csv, write_svg
+    assert {"path", "columns"} <= set(inspect.signature(write_csv).parameters)
+    assert "path" in inspect.signature(write_svg).parameters

@@ -3,15 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from alleewaves.errors import BlowUpError, StabilityError, TrackingError
 from alleewaves.exact import eval_uv_masked, make_spec
-from alleewaves.sim import (STABILITY_SAFETY, GridField, SimConfig,
-                            check_stability, measure_wave_speed, simulate,
-                            step)
+from alleewaves.sim import (RK4_REAL_INTERVAL, STABILITY_SAFETY, GridField,
+                            SimConfig, _check_state, check_stability,
+                            measure_wave_speed, simulate, step)
 
 
 def uniform_field(u0, v0, n=64, x0=-5.0, dx=0.1):
@@ -222,6 +222,71 @@ class TestDynamics:
                         snapshot_every=500)
         snaps = simulate(uniform_field(0.1, 0.1, n=8), cfg)
         assert [f.t for f in snaps] == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+class TestReactionStiffness:
+    """dt times a local reaction-Jacobian eigenvalue must stay inside RK4's
+    real stability interval; the diffusion bound alone lets these through."""
+
+    def stiff(self, v):
+        # dx = 1 keeps dt = 0.4 on the diffusion limit 0.8 * 1 / 2
+        return (GridField(x0=-3.5, dx=1.0, u=np.zeros(8), v=v, t=0.0),
+                SimConfig(k=1.0, delta=10.0, beta=0.0, dt=0.4, t_end=0.4))
+
+    def test_simulate_rejects_stiff_initial_state(self):
+        # dt * 3 delta v^2 = 48: this used to return v ~ 1.9e35
+        f, cfg = self.stiff(np.full(8, 2.0))
+        with pytest.raises(StabilityError, match=r"at t=0, x=-3\.5$"):
+            simulate(f, cfg)
+
+    def test_step_rejects_stiff_result(self):
+        f, cfg = self.stiff(np.full(8, 2.0))
+        with pytest.raises(StabilityError, match=r"at t=0\.4, x=-3\.5$"):
+            step(f, cfg)
+
+    def test_names_first_offending_cell(self):
+        v = np.full(8, 0.1)
+        v[5:7] = 2.0
+        f, cfg = self.stiff(v)
+        with pytest.raises(StabilityError, match=r"at t=0, x=1\.5$"):
+            simulate(f, cfg)
+
+    def test_gershgorin_bound_alone_does_not_reject(self):
+        # eigenvalues -2 and -120 but row sum 122: dt = 0.023 sits between
+        f = GridField(x0=0.0, dx=1.0, u=np.zeros(8), v=np.full(8, 2.0), t=0.0)
+        cfg = SimConfig(k=1.0, delta=10.0, beta=0.0, dt=0.023, t_end=0.023)
+        assert cfg.dt * 122 > RK4_REAL_INTERVAL > cfg.dt * 120
+        final = simulate(f, cfg)[-1]
+        assert np.all((0.0 < final.v) & (final.v < 2.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(u=st.floats(-3.0, 3.0), v=st.floats(-3.0, 3.0),
+           k=st.floats(0.0, 10.0), delta=st.floats(0.1, 10.0),
+           beta=st.floats(0.0, 5.0), side=st.sampled_from([0.99, 1.01]))
+    def test_limit_is_the_local_spectral_radius(self, u, v, k, delta, beta,
+                                                side):
+        s = 1.0 / math.sqrt(delta)
+        jac = [[2 * (k + s) * u - 3 * u * u - v - beta, -u],
+               [k * v, k * u - 3 * delta * v * v - beta]]
+        rho = np.max(np.abs(np.linalg.eigvals(jac)))
+        assume(rho > 1e-6)
+        dt = side * RK4_REAL_INTERVAL / rho
+        cfg = SimConfig(k=k, delta=delta, beta=beta, dt=dt, t_end=dt)
+        state = np.array([np.full(8, u), np.full(8, v)])
+        if side > 1.0:
+            with pytest.raises(StabilityError, match="at t=0, x=0$"):
+                _check_state(state, 0.0, 0.0, 1.0, cfg)
+        else:
+            _check_state(state, 0.0, 0.0, 1.0, cfg)
+
+    def test_nonfinite_initial_state_raises_blowup(self):
+        u = np.full(8, 0.1)
+        u[3] = np.nan
+        f = GridField(x0=0.0, dx=1.0, u=u, v=np.zeros(8), t=0.5)
+        cfg = SimConfig(k=1.0, delta=1.0, beta=0.0, dt=0.1, t_end=0.1)
+        with pytest.raises(BlowUpError) as got:
+            simulate(f, cfg)
+        assert (got.value.t, got.value.x) == (0.5, 3.0)
 
 
 class TestReferenceKernel:
