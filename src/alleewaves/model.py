@@ -26,10 +26,14 @@ class CaseKind(Enum):
 
 
 def discriminant(lam: float, mu: float) -> float:
-    """lambda^2 - 4*mu."""
+    """lambda^2 - 4*mu; raises ValueError when it overflows."""
     if not (math.isfinite(lam) and math.isfinite(mu)):
         raise ValueError("lambda and mu must be finite")
-    return lam * lam - 4.0 * mu
+    disc = lam * lam - 4.0 * mu
+    if not math.isfinite(disc):
+        # inf - inf is NaN, which would classify as trigonometric
+        raise ValueError(f"lambda^2 - 4*mu overflows at lambda={lam!r}, mu={mu!r}")
+    return disc
 
 
 def classify_case(lam: float, mu: float, eps_disc: float = DEFAULT_EPS_DISC) -> CaseKind:

@@ -119,6 +119,11 @@ class TestSimulate:
                      "--t-end", "1", "--out", str(tmp_path)]) == 2
         assert "dt" in capsys.readouterr().err
 
+    def test_infinite_t_end_is_usage_error(self, tmp_path, capsys):
+        assert main(["simulate", *SIM_BASE, "--dt", "0.004",
+                     "--t-end", "inf", "--out", str(tmp_path)]) == 2
+        assert "t_end must be finite" in capsys.readouterr().err
+
     def test_pole_in_domain_rejected(self, tmp_path, capsys):
         args = list(SIM_BASE)
         args[args.index("--c1") + 1] = "20"

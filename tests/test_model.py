@@ -1,9 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alleewaves.model import CaseKind, classify_case, discriminant
+from alleewaves.model import (DEFAULT_EPS_DISC, CaseKind, classify_case,
+                              discriminant)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -30,6 +34,12 @@ class TestDiscriminant:
         with pytest.raises(ValueError):
             discriminant(math.nan, 0.0)
 
+    @pytest.mark.parametrize("lam, mu", [(1e200, 1e308), (1e200, 0.0),
+                                         (0.0, 1e308), (0.0, -1e308)])
+    def test_overflow_raises(self, lam, mu):
+        with pytest.raises(ValueError, match="overflows"):
+            discriminant(lam, mu)
+
 
 class TestClassifyCase:
     def test_examples(self):
@@ -54,3 +64,44 @@ class TestClassifyCase:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             classify_case(1.0, 1.0, eps_disc=-1.0)
+
+    def test_overflowed_discriminant_raises(self):
+        # lambda^2 - 4 mu is inf - inf = NaN in floats; the true sign is +
+        with pytest.raises(ValueError, match="overflows"):
+            classify_case(1e200, 1e308)
+
+
+@st.composite
+def _cases(draw):
+    """(lambda, mu, eps_disc), half of them within a few eps_disc of a tie."""
+    eps_disc = draw(st.sampled_from([0.0, DEFAULT_EPS_DISC, 1e-3]))
+    if draw(st.booleans()):
+        return (draw(st.floats(-1e150, 1e150)), draw(st.floats(-1e300, 1e300)),
+                eps_disc)
+    # small lambda keeps the rounding band well inside eps_disc
+    lam = draw(st.floats(-10.0, 10.0))
+    offset = draw(st.floats(-3.0, 3.0)) * max(eps_disc, DEFAULT_EPS_DISC)
+    return lam, (lam * lam - offset) / 4.0, eps_disc
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=_cases())
+def test_class_matches_exact_sign(case):
+    """The class follows the exact sign of lambda^2 - 4 mu.
+
+    The computed discriminant rounds twice (the square, then the
+    difference), so it lies within 2 u (lambda^2 + 4|mu|) of the exact value,
+    u = 2^-53.  The band is twice that, plus the smallest subnormal for an
+    underflowed square; inside it around +-eps_disc any class is allowed.
+    """
+    lam, mu, eps_disc = case
+    exact = Fraction(lam) ** 2 - 4 * Fraction(mu)
+    band = Fraction(2.0**-51 * (lam * lam + 4.0 * abs(mu))) + Fraction(2.0**-1074)
+    eps = Fraction(eps_disc)
+    got = classify_case(lam, mu, eps_disc)
+    if exact > eps + band:
+        assert got is CaseKind.HYPERBOLIC
+    elif exact < -eps - band:
+        assert got is CaseKind.TRIGONOMETRIC
+    elif abs(exact) < eps - band:
+        assert got is CaseKind.DEGENERATE

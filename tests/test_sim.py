@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import alleewaves.sim as sim
 from alleewaves.errors import BlowUpError, StabilityError, TrackingError
 from alleewaves.exact import eval_uv_masked, make_spec
 from alleewaves.sim import (RK4_REAL_INTERVAL, STABILITY_SAFETY, GridField,
@@ -90,6 +91,15 @@ class TestConfigAndGrid:
         with pytest.raises(ValueError):
             GridField(x0=0.0, dx=0.1, u=np.zeros(16), v=np.zeros(8), t=0.0)
 
+    @pytest.mark.parametrize("name, bad", [("x0", math.nan), ("dx", math.inf),
+                                           ("dx", math.nan), ("t", math.nan),
+                                           ("t", -math.inf)])
+    def test_grid_rejects_nonfinite(self, name, bad):
+        kw = dict(x0=0.0, dx=0.1, u=np.zeros(16), v=np.zeros(16), t=0.0)
+        kw[name] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            GridField(**kw)
+
     def test_x_property(self):
         f = uniform_field(0.0, 0.0, n=16, x0=-1.0, dx=0.25)
         assert f.x[0] == -1.0
@@ -100,6 +110,16 @@ class TestConfigAndGrid:
             SimConfig(k=-1.0, delta=1.0, beta=1.0, dt=1e-3, t_end=1.0)
         with pytest.raises(ValueError):
             SimConfig(k=1.0, delta=0.0, beta=1.0, dt=1e-3, t_end=1.0)
+
+    @pytest.mark.parametrize("name, bad", [("k", math.nan), ("delta", math.nan),
+                                           ("beta", math.nan), ("dt", math.nan),
+                                           ("t_end", math.inf)])
+    def test_config_rejects_nonfinite(self, name, bad):
+        # t_end=inf used to raise OverflowError from round()
+        kw = dict(k=1.0, delta=1.0, beta=1.0, dt=1e-3, t_end=1.0)
+        kw[name] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SimConfig(**kw)
 
     def test_config_allows_pure_diffusion_limit(self):
         SimConfig(k=0.0, delta=1.0, beta=0.0, dt=1e-3, t_end=1.0)
@@ -224,6 +244,33 @@ class TestDynamics:
         assert [f.t for f in snaps] == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
+    def test_simulate_calls_step_once_per_step(self, monkeypatch):
+        # the tracer counts sim.steps and sim.rhs_evals through sim.step
+        calls = []
+
+        def counting_step(field, cfg):
+            calls.append(field.t)
+            return step(field, cfg)
+
+        monkeypatch.setattr(sim, "step", counting_step)
+        cfg = SimConfig(k=1.0, delta=1.0, beta=1.0, dt=1e-3, t_end=0.05,
+                        snapshot_every=7)
+        simulate(uniform_field(0.1, 0.1), cfg)
+        assert len(calls) == round(cfg.t_end / cfg.dt) == 50
+
+    def test_snapshots_pin_only_their_own_state(self):
+        # each kept snapshot holds its step's result buffer alive, so that
+        # buffer must be no larger than the padded (u, v) state
+        n = 64
+        cfg = SimConfig(k=1.0, delta=1.0, beta=1.0, dt=1e-3, t_end=0.05,
+                        snapshot_every=10)
+        snaps = simulate(uniform_field(0.1, 0.1, n=n), cfg)
+        for f in snaps[1:]:
+            assert f.u.base is f.v.base
+            assert f.u.base.shape == (2 * (n + 2),)
+            assert f.u.base.base is None
+
+
 class TestReactionStiffness:
     """dt times a local reaction-Jacobian eigenvalue must stay inside RK4's
     real stability interval; the diffusion bound alone lets these through."""
@@ -324,6 +371,25 @@ class TestReferenceKernel:
         got = simulate(f0, cfg)[-1]
         want = f0
         for _ in range(round(cfg.t_end / dt)):
+            want = reference_step(want, cfg)
+        assert np.max(np.abs(got.u - want.u)) <= 1e-10
+        assert np.max(np.abs(got.v - want.v)) <= 1e-10
+
+
+    def test_periodic_many_steps_match(self):
+        # 500 steps at N=801 with a front and a predator bump on the seam,
+        # where the wrapped ghosts carry the stencil; the criterion-5 bound
+        n, dx, dt = 801, 0.1, 0.004
+        x = -40.0 + dx * np.arange(n)
+        phase = 2.0 * math.pi * x / (n * dx)
+        u0 = 0.5 * (1.0 + np.tanh(4.0 * np.sin(phase)))
+        v0 = 0.4 * (1.0 - np.cos(phase))
+        cfg = SimConfig(k=5.9, delta=3.0, beta=0.4, dt=dt, t_end=500 * dt,
+                        bc="periodic", snapshot_every=10**9)
+        f0 = GridField(x0=float(x[0]), dx=dx, u=u0, v=v0, t=0.0)
+        got = simulate(f0, cfg)[-1]
+        want = f0
+        for _ in range(500):
             want = reference_step(want, cfg)
         assert np.max(np.abs(got.u - want.u)) <= 1e-10
         assert np.max(np.abs(got.v - want.v)) <= 1e-10
