@@ -7,15 +7,16 @@ Subcommands:
     simulate  integrate the PDE from an exact seed, optionally measure speed
     solve     rediscover the coefficient families numerically
 
-Exit codes: 0 success, 1 verification failure, 2 usage/validation error,
-3 numerical failure (blow-up / no convergence / pole).
+Exit codes: 0 success, 1 verification failure, 2 usage/validation error
+(also a bad path), 3 numerical failure (blow-up / no convergence / pole).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (AlleeWavesError, BlowUpError, NoConvergenceError,
 from .exact import (FAMILIES, eval_uv_masked, find_singularities, make_spec,
                     set_b_reference_alpha0)
 from .model import CaseKind
-from .output import write_csv, write_svg
+from .output import FLOAT_FMT, write_csv, write_svg
 from .sim import GridField, SimConfig, measure_wave_speed, simulate
 from .verify import check_G_ode, ode_residual
 
@@ -49,16 +50,120 @@ FIGURES = {
             xi_min=-5.0, xi_max=5.0, n=1001, alpha0_inferred=True),
 }
 
+_ARTIFACT = {"artifact": "alleewaves", "version": __version__}
+REQUIRED = object()  # a Param default: the command cannot run without it
 
-def _spec_args(p):
-    p.add_argument("--family", choices=list(FAMILIES), required=True)
-    p.add_argument("--branch", choices=["upper", "lower"], default="upper")
-    p.add_argument("--alpha0", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=0.0)
+
+@dataclass(frozen=True)
+class Param:
+    """One CLI parameter.  ``defaults`` maps each command that takes it to
+    its default, REQUIRED, or None (optional, unset).  Floats must be finite
+    and ints >= 1; ``check`` adds "positive" or "non-negative".  A parameter
+    named after a command is that command's positional argument."""
+
+    name: str
+    type: type
+    defaults: dict
+    check: str = ""
+    choices: tuple = ()
+    help: str = None
+
+    @property
+    def flag(self):
+        return self.name if self.name in COMMANDS else "--" + self.name.replace("_", "-")
+
+
+_SPEC = ("eval", "verify", "simulate")
+_COEF = dict.fromkeys(_SPEC + ("solve",), REQUIRED)
+
+PARAMS = (
+    Param("family", str, dict.fromkeys(_SPEC, REQUIRED), choices=tuple(FAMILIES)),
+    Param("branch", str, dict.fromkeys(_SPEC, "upper"), choices=("upper", "lower")),
+    Param("case", str, {"eval": None}, choices=tuple(c.value for c in CaseKind),
+          help="assert the case; usage error on mismatch"),
+    Param("alpha0", float, _COEF),
+    Param("mu", float, _COEF),
+    Param("k", float, _COEF),
+    Param("delta", float, _COEF, "positive"),
+    Param("c1", float, dict.fromkeys(_SPEC, 1.0)),
+    Param("c2", float, dict.fromkeys(_SPEC, 0.0)),
+    Param("x_min", float, {"eval": -5.0, "simulate": REQUIRED}),
+    Param("x_max", float, {"eval": 5.0, "simulate": REQUIRED}),
+    Param("xi_min", float, {"verify": -10.0}),
+    Param("xi_max", float, {"verify": 10.0}),
+    Param("t", float, {"eval": 0.0}),
+    Param("n", int, {"eval": 1001}),
+    Param("n_samples", int, {"verify": 2001}),
+    Param("dx", float, {"simulate": REQUIRED}, "positive"),
+    Param("dt", float, {"simulate": REQUIRED}, "positive"),
+    Param("t_end", float, {"simulate": REQUIRED}, "positive"),
+    Param("snapshot_every", int, {"simulate": 200}),
+    Param("bc", str, {"simulate": "neumann"}, choices=("neumann", "periodic")),
+    Param("measure_speed", bool, {"simulate": False}),
+    Param("level", float, {"simulate": None},
+          help="front level; default midway between the seed's extremes"),
+    Param("tol", float, {"verify": 1e-8, "solve": 1e-6}, "non-negative",
+          help="ODE residual (verify) or root match (solve) tolerance"),
+    Param("tol_g", float, {"verify": 1e-12}, "non-negative",
+          help="normalized auxiliary-ODE residual threshold"),
+    Param("figure", int, {"figure": REQUIRED}, choices=tuple(FIGURES)),
+)
+
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_CHECKS = {"": lambda v: True, "positive": lambda v: v > 0,
+           "non-negative": lambda v: v >= 0}
+
+
+def _violation(p, val):
+    """The constraint of p that val breaks, or None."""
+    if p.choices:
+        ok, want = val in p.choices, "one of " + ", ".join(map(str, p.choices))
+    elif p.type is int:
+        ok, want = val >= 1, "an integer >= 1"
+    elif not math.isfinite(val):
+        ok, want = False, "finite"
+    else:
+        ok, want = _CHECKS[p.check](val), p.check
+    return None if ok else want
+
+
+def _parse_config(path, params):
+    """Flat key=value file with '#' comments; keys are parameter names."""
+    by_name = {p.name: p for p in params}
+    cfg = {}
+    for raw in Path(path).read_text().splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, val = (s.strip() for s in line.partition("="))
+        p = by_name.get(key)
+        if p is None:
+            raise ValueError(f"{path}: unknown key {key!r}")
+        try:
+            cfg[key] = _BOOLS[val.lower()] if p.type is bool else p.type(val)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: {key} must be of type {p.type.__name__},"
+                             f" got {val!r}") from None
+    return cfg
+
+
+def resolve(ns) -> dict:
+    """The command's parameter values: defaults, then --config, then flags;
+    ValueError names what is missing or the flag whose value is out of range."""
+    params = [p for p in PARAMS if ns.cmd in p.defaults]
+    par = {p.name: p.defaults[ns.cmd] for p in params}
+    if getattr(ns, "config", None):
+        par.update(_parse_config(ns.config, params))
+    par.update((p.name, getattr(ns, p.name)) for p in params
+               if getattr(ns, p.name) is not None)
+    missing = [name for name, val in par.items() if val is REQUIRED]
+    if missing:
+        raise ValueError(f"missing {ns.cmd} parameters: {', '.join(missing)}")
+    for p in params:
+        want = None if par[p.name] is None else _violation(p, par[p.name])
+        if want:
+            raise ValueError(f"{p.flag}: {p.name} must be {want}, got {par[p.name]}")
+    return par
 
 
 def build_parser():
@@ -66,71 +171,20 @@ def build_parser():
                                 description=__doc__.split("\n\n")[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    pe = sub.add_parser("eval", help="sample a closed-form solution to CSV")
-    _spec_args(pe)
-    pe.add_argument("--case", choices=[case.value for case in CaseKind],
-                    help="assert the case; usage error on mismatch")
-    pe.add_argument("--x-min", type=float, default=-5.0)
-    pe.add_argument("--x-max", type=float, default=5.0)
-    pe.add_argument("--t", type=float, default=0.0)
-    pe.add_argument("--n", type=int, default=1001)
-    pe.add_argument("--out", default=".")
-
-    pf = sub.add_parser("figure", help="reproduce a reference figure")
-    pf.add_argument("n", type=int, choices=[1, 2, 3])
-    pf.add_argument("--out", default=".")
-
-    pv = sub.add_parser("verify", help="residual-check a solution")
-    _spec_args(pv)
-    pv.add_argument("--xi-min", type=float, default=-10.0)
-    pv.add_argument("--xi-max", type=float, default=10.0)
-    pv.add_argument("--n-samples", type=int, default=2001)
-    pv.add_argument("--tol", type=float, default=1e-8,
-                    help="ODE residual threshold")
-    pv.add_argument("--tol-g", type=float, default=1e-12,
-                    help="normalized auxiliary-ODE residual threshold")
-    pv.add_argument("--out", default=".")
-
-    ps = sub.add_parser("simulate", help="integrate the PDE from an exact seed")
-    ps.add_argument("--config", help="flat key=value file; flags override")
-    _spec_args_optional(ps)
-    ps.add_argument("--x-min", type=float)
-    ps.add_argument("--x-max", type=float)
-    ps.add_argument("--dx", type=float)
-    ps.add_argument("--dt", type=float)
-    ps.add_argument("--t-end", type=float)
-    ps.add_argument("--snapshot-every", type=int)
-    ps.add_argument("--bc", choices=["neumann", "periodic"])
-    ps.add_argument("--measure-speed", action="store_true", default=None)
-    ps.add_argument("--level", type=float)
-    ps.add_argument("--out", default=".")
-
-    po = sub.add_parser("solve", help="numerically rediscover the families")
-    po.add_argument("--k", type=float, required=True)
-    po.add_argument("--delta", type=float, required=True)
-    po.add_argument("--mu", type=float, required=True)
-    po.add_argument("--alpha0", type=float, required=True)
-    po.add_argument("--tol", type=float, default=1e-6,
-                    help="componentwise match tolerance against closed forms")
+    for cmd, (_, text) in COMMANDS.items():
+        sp = sub.add_parser(cmd, help=text)
+        if cmd == "simulate":
+            sp.add_argument("--config", help="flat key=value file; flags override")
+        for par in (p for p in PARAMS if cmd in p.defaults):
+            if par.type is bool:
+                sp.add_argument(par.flag, action="store_true", default=None)
+            else:  # choices are listed here and checked by resolve()
+                names = ",".join(map(str, par.choices))
+                sp.add_argument(par.flag, type=par.type, help=par.help,
+                                metavar="{%s}" % names if par.choices else None)
+        if cmd != "solve":
+            sp.add_argument("--out", default=".")
     return p
-
-
-def _spec_args_optional(p):
-    p.add_argument("--family", choices=list(FAMILIES))
-    p.add_argument("--branch", choices=["upper", "lower"])
-    p.add_argument("--alpha0", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--k", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--c1", type=float)
-    p.add_argument("--c2", type=float)
-
-
-def _base_header(args_dict):
-    hdr = {"artifact": "alleewaves", "version": __version__}
-    hdr.update(args_dict)
-    return hdr
 
 
 def _make_spec_from(par):
@@ -160,48 +214,37 @@ def _sample_profile(spec, x, t):
     return u, v, ok, hdr
 
 
-def cmd_eval(ns) -> int:
-    spec = _make_spec_from(vars(ns))
-    if ns.case is not None:  # the spec's own case check rejects a mismatch
-        replace(spec, case=CaseKind(ns.case))
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
-    x = np.linspace(ns.x_min, ns.x_max, ns.n)
-    u, v, ok, pole_hdr = _sample_profile(spec, x, ns.t)
-    hdr = _base_header({
-        "command": "eval", "family": ns.family, "branch": ns.branch,
-        "case": spec.case.value, "alpha0": ns.alpha0, "mu": ns.mu,
-        "k": ns.k, "delta": ns.delta, "c1": ns.c1, "c2": ns.c2,
-        "x_min": ns.x_min, "x_max": ns.x_max, "t": ns.t, "n": ns.n,
-        "c": spec.coeffs.c, "lambda": spec.coeffs.lam,
-        "beta": spec.coeffs.beta_model,
-    })
-    hdr.update(pole_hdr)
+def cmd_eval(par, out) -> int:
+    spec = _make_spec_from(par)
+    if par["case"] is not None:  # the spec's own case check rejects a mismatch
+        replace(spec, case=CaseKind(par["case"]))
+    x = np.linspace(par["x_min"], par["x_max"], par["n"])
+    u, v, ok, pole_hdr = _sample_profile(spec, x, par["t"])
+    hdr = {**_ARTIFACT, "command": "eval", **par, "case": spec.case.value,
+           "c": spec.coeffs.c, "lambda": spec.coeffs.lam,
+           "beta": spec.coeffs.beta_model, **pole_hdr}
     write_csv(out / "eval.csv", hdr, {"x": x, "u": u, "v": v}, mask=ok)
     print(f"wrote {out / 'eval.csv'}")
     return EXIT_OK
 
 
-def cmd_figure(ns) -> int:
-    par = dict(FIGURES[ns.n])
-    inferred = par.pop("alpha0_inferred", False)
-    n = par["n"]
-    spec = _make_spec_from(par)
-    c = spec.coeffs.c
-    if "x_min" in par:
-        x = np.linspace(par["x_min"], par["x_max"], n)
+def cmd_figure(par, out) -> int:
+    fig = par["figure"]
+    bundle = dict(FIGURES[fig])
+    inferred = bundle.pop("alpha0_inferred", False)
+    spec = _make_spec_from(bundle)
+    c, t = spec.coeffs.c, bundle["t"]
+    if "x_min" in bundle:
+        x = np.linspace(bundle["x_min"], bundle["x_max"], bundle["n"])
     else:  # figure 3 is specified by its xi window
-        x = np.linspace(par["xi_min"] + c * par["t"],
-                        par["xi_max"] + c * par["t"], n)
-    t = par["t"]
+        x = np.linspace(bundle["xi_min"] + c * t, bundle["xi_max"] + c * t,
+                        bundle["n"])
     u, v, ok, pole_hdr = _sample_profile(spec, x, t)
     xi = x - c * t
 
-    hdr = _base_header({"command": f"figure {ns.n}", "case": spec.case.value})
-    hdr.update(par)
-    hdr["c"] = c
-    hdr["lambda"] = spec.coeffs.lam
-    hdr["beta"] = spec.coeffs.beta_model
+    hdr = {**_ARTIFACT, "command": f"figure {fig}", "case": spec.case.value,
+           **bundle, "c": c, "lambda": spec.coeffs.lam,
+           "beta": spec.coeffs.beta_model}
     if inferred:
         hdr["alpha0_note"] = ("inferred as sqrt(2*mu): the unique value giving"
                               " lambda=2*sqrt(mu) for family B")
@@ -209,41 +252,37 @@ def cmd_figure(ns) -> int:
         hdr["period"] = spec.period
     hdr.update(pole_hdr)
 
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"figure{ns.n}.csv"
-    svg_path = out / f"figure{ns.n}.svg"
+    csv_path = out / f"figure{fig}.csv"
+    svg_path = out / f"figure{fig}.svg"
     uplot = np.where(ok, u, np.nan)
     vplot = np.where(ok, v, np.nan)
     write_csv(csv_path, hdr, {"x": x, "xi": xi, "u": u, "v": v}, mask=ok)
     write_svg(svg_path, x, [uplot, vplot], ["prey u", "predator v"],
               [False, True],
-              title=f"figure {ns.n}: {spec.case.value} profile at t={t:g}")
+              title=f"figure {fig}: {spec.case.value} profile at t={t:g}")
     print(f"wrote {csv_path} and {svg_path}")
     return EXIT_OK
 
 
-def cmd_verify(ns) -> int:
-    spec = _make_spec_from(vars(ns))
-    rep = ode_residual(spec, ns.xi_min, ns.xi_max, ns.n_samples)
-    grid = np.linspace(ns.xi_min, ns.xi_max, min(ns.n_samples, 1001))
+def cmd_verify(par, out) -> int:
+    spec = _make_spec_from(par)
+    rep = ode_residual(spec, par["xi_min"], par["xi_max"], par["n_samples"])
+    grid = np.linspace(par["xi_min"], par["xi_max"], min(par["n_samples"], 1001))
     grep = check_G_ode(spec.case, spec.coeffs.lam, spec.coeffs.mu,
-                       ns.c1, ns.c2, grid)
+                       par["c1"], par["c2"], grid)
     failures = [name for name, mx in zip(rep.eq_names, rep.max_abs)
-                if mx > ns.tol]
-    if grep.max_abs[0] > ns.tol_g:
+                if mx > par["tol"]]
+    if grep.max_abs[0] > par["tol_g"]:
         failures.append("G_ode")
 
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
     status = "PASS" if not failures else "FAIL: " + ", ".join(failures)
     text = "\n".join([
         f"alleewaves verify ({__version__})",
-        f"spec: family={ns.family} branch={ns.branch} case={spec.case.value}"
-        f" alpha0={ns.alpha0} mu={ns.mu} k={ns.k} delta={ns.delta}"
-        f" c1={ns.c1} c2={ns.c2}",
-        f"window: [{ns.xi_min}, {ns.xi_max}] n={ns.n_samples}"
-        f" tol={ns.tol:g} tol_g={ns.tol_g:g}",
+        f"spec: family={par['family']} branch={par['branch']}"
+        f" case={spec.case.value} alpha0={par['alpha0']} mu={par['mu']}"
+        f" k={par['k']} delta={par['delta']} c1={par['c1']} c2={par['c2']}",
+        f"window: [{par['xi_min']}, {par['xi_max']}] n={par['n_samples']}"
+        f" tol={par['tol']:g} tol_g={par['tol_g']:g}",
         rep.to_text(),
         grep.to_text(),
         f"result: {status}",
@@ -253,67 +292,23 @@ def cmd_verify(ns) -> int:
         rep.to_kv(), grep.to_kv(),
         f"pass={0 if failures else 1}",
         f"failed_equations={','.join(failures)}",
+        # the inputs, so the report can be replayed
+        *(f"{key}={FLOAT_FMT % val if isinstance(val, float) else val}"
+          for key, val in par.items()),
     ])
     (out / "verify_report.kv").write_text(kv + "\n")
     print(text)
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
-def _parse_config(path):
-    cfg = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, val = line.partition("=")
-        cfg[key.strip()] = val.strip()
-    return cfg
-
-
-_SIM_FLOAT = ("alpha0", "mu", "k", "delta", "c1", "c2", "x_min", "x_max",
-              "dx", "dt", "t_end", "level")
-_SIM_DEFAULTS = dict(branch="upper", c1=1.0, c2=0.0, snapshot_every=200,
-                     bc="neumann", measure_speed=False, level=None)
-
-
-def _sim_params(ns):
-    par = dict(_SIM_DEFAULTS)
-    if ns.config:
-        cfg = _parse_config(ns.config)
-        for key, val in cfg.items():
-            if key in _SIM_FLOAT:
-                par[key] = float(val)
-            elif key == "snapshot_every":
-                par[key] = int(val)
-            elif key == "measure_speed":
-                par[key] = val.lower() in ("1", "true", "yes")
-            else:
-                par[key] = val
-    for key in ("family", "branch", "alpha0", "mu", "k", "delta", "c1", "c2",
-                "x_min", "x_max", "dx", "dt", "t_end", "snapshot_every", "bc",
-                "measure_speed", "level"):
-        val = getattr(ns, key)
-        if val is not None:
-            par[key] = val
-    missing = [key for key in ("family", "alpha0", "mu", "k", "delta",
-                               "x_min", "x_max", "dx", "dt", "t_end")
-               if key not in par or par[key] is None]
-    if missing:
-        raise ValueError(f"missing simulate parameters: {', '.join(missing)}")
-    return par
-
-
-def cmd_simulate(ns) -> int:
-    par = _sim_params(ns)
+def cmd_simulate(par, out) -> int:
     spec = _make_spec_from(par)
     co = spec.coeffs
     x = np.arange(par["x_min"], par["x_max"] + 0.5 * par["dx"], par["dx"])
     poles = find_singularities(spec, float(x.min()), float(x.max()))
     if poles:
-        print(f"error: seed profile has a pole at xi={poles[0]:.6g} inside"
-              " the domain; choose |c2|>|c1| with matching signs",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"seed profile has a pole at xi={poles[0]:.6g} inside"
+                         " the domain; choose |c2|>|c1| with matching signs")
     u0, v0 = np.asarray(eval_uv_masked(spec, x, 0.0)[:2])
     field = GridField(x0=float(x[0]), dx=par["dx"], u=u0, v=v0, t=0.0)
     cfg = SimConfig(k=par["k"], delta=par["delta"], beta=co.beta_model,
@@ -321,15 +316,11 @@ def cmd_simulate(ns) -> int:
                     snapshot_every=par["snapshot_every"])
     snaps = simulate(field, cfg)
 
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
-    hdr = _base_header({"command": "simulate", **{key: par[key] for key in sorted(par)
-                                                 if par[key] is not None},
-                        "c": co.c, "beta": co.beta_model})
+    hdr = {**_ARTIFACT, "command": "simulate",
+           **{key: par[key] for key in sorted(par) if par[key] is not None},
+           "c": co.c, "beta": co.beta_model}
     for i, f in enumerate(snaps):
-        hdr_i = dict(hdr)
-        hdr_i["t"] = f.t
-        write_csv(out / f"snapshot_{i:03d}.csv", hdr_i,
+        write_csv(out / f"snapshot_{i:03d}.csv", {**hdr, "t": f.t},
                   {"x": f.x, "u": f.u, "v": f.v})
     print(f"wrote {len(snaps)} snapshots to {out}")
 
@@ -355,26 +346,26 @@ def cmd_simulate(ns) -> int:
     return EXIT_OK
 
 
-def cmd_solve(ns) -> int:
-    roots = solve_families(ns.k, ns.delta, ns.mu, ns.alpha0)
-    targets = closed_form_targets(ns.k, ns.delta, ns.mu, ns.alpha0)
+def cmd_solve(par, _out) -> int:
+    roots = solve_families(par["k"], par["delta"], par["mu"], par["alpha0"])
+    targets = closed_form_targets(par["k"], par["delta"], par["mu"], par["alpha0"])
     fields = ("alpha1", "beta1", "beta0", "lambda", "c", "beta")
-    print(f"{len(roots)} admissible root(s) at k={ns.k} delta={ns.delta}"
-          f" mu={ns.mu} alpha0={ns.alpha0}")
+    print(f"{len(roots)} admissible root(s) at k={par['k']} delta={par['delta']}"
+          f" mu={par['mu']} alpha0={par['alpha0']}")
     matched = set()
     for r in roots:
         rvec = (r.alpha1, r.beta1, r.beta0, r.lam, r.c, r.beta_model)
         print("  root: " + " ".join(f"{f}={v:.8g}"
                                     for f, v in zip(fields, rvec)))
         hit = next(((name, tgt) for name, tgt in targets
-                    if match_root([r], tgt, ns.tol) is not None), None)
+                    if match_root([r], tgt, par["tol"]) is not None), None)
         if hit is None:
             print("        (no closed-form match; extra root)")
         else:
             matched.add(hit[0])
             print(f"        matches {hit[0]}, max componentwise dev"
                   f" {deviation(r, hit[1]):.3e}")
-    if ns.alpha0 == 0:
+    if par["alpha0"] == 0:
         print("  Set B: not applicable: alpha0=0")
     for name, _ in targets:
         if name not in matched:
@@ -382,19 +373,27 @@ def cmd_solve(ns) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {"eval": cmd_eval, "figure": cmd_figure, "verify": cmd_verify,
-             "simulate": cmd_simulate, "solve": cmd_solve}
+COMMANDS = {
+    "eval": (cmd_eval, "sample a closed-form solution to CSV"),
+    "figure": (cmd_figure, "reproduce a reference figure"),
+    "verify": (cmd_verify, "residual-check a solution"),
+    "simulate": (cmd_simulate, "integrate the PDE from an exact seed"),
+    "solve": (cmd_solve, "numerically rediscover the families"),
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
+    out = Path(ns.out) if "out" in ns else None
     try:
-        return _DISPATCH[ns.cmd](ns)
+        par = resolve(ns)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        return COMMANDS[ns.cmd][0](par, out)
     except (BlowUpError, NoConvergenceError, PoleError, TrackingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (StabilityError, ValueError) as exc:
+    except (StabilityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AlleeWavesError as exc:

@@ -355,9 +355,3 @@ def find_singularities(spec: SolutionSpec, xi_lo, xi_hi):
     co = spec.coeffs
     return find_singularities_raw(spec.case, co.lam, co.mu, spec.c1, spec.c2,
                                   xi_lo, xi_hi)
-
-
-def period_case2(lam, mu) -> float:
-    """Period of phi in the trigonometric regime: 2*pi/sqrt(4*mu - lam^2)."""
-    forms, q = _forms(CaseKind.TRIGONOMETRIC, lam, mu)
-    return forms.period(q)

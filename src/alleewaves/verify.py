@@ -207,22 +207,6 @@ def check_G_ode(case: CaseKind, lam, mu, c1, c2, xi_grid) -> ResidualReport:
     )
 
 
-def derivative_crosscheck(fn, dfn, xi_grid, h) -> float:
-    """Max relative deviation of analytic vs 4th-order finite-difference derivative.
-
-    fn and dfn sample a closed form and its claimed derivative; grid points
-    must sit >= 10h from any pole.  Deviations are measured relative to
-    max(1, |analytic|) pointwise.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    xi = np.asarray(xi_grid, dtype=float)
-    fd = (fn(xi - 2 * h) - 8.0 * fn(xi - h) + 8.0 * fn(xi + h) - fn(xi + 2 * h)) \
-        / (12.0 * h)
-    ana = dfn(xi)
-    return float(np.max(np.abs(fd - ana) / np.maximum(1.0, np.abs(ana))))
-
-
 def estimate_period(values, spacing) -> float:
     """Period of a sampled periodic signal by autocorrelation peak picking.
 

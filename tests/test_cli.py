@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from alleewaves.cli import main
+from alleewaves.cli import COMMANDS, FIGURES, PARAMS, main
 from alleewaves.exact import eval_uv_masked, make_spec
 from alleewaves.output import read_csv
 
@@ -165,3 +165,143 @@ class TestSolve:
                      "--alpha0", "0"]) == 0
         out = capsys.readouterr().out
         assert "Set B: not applicable: alpha0=0" in out
+
+
+def table_argv(cmd, values):
+    """argv for cmd from {parameter name: value}, built from cli.PARAMS.
+
+    Every name must be a parameter of cmd.  Flags use the --flag=value form
+    so that values such as -inf are not taken for options.
+    """
+    params = {p.name: p for p in PARAMS if cmd in p.defaults}
+    argv = [cmd]
+    for name, val in values.items():
+        p = params[name]
+        if p.type is bool:
+            argv += [p.flag] if str(val) == "True" else []
+        elif p.flag == name:  # a positional
+            argv.append(str(val))
+        else:
+            argv.append(f"{p.flag}={val}")
+    return argv
+
+
+FIG1_VALUES = dict(family="A", alpha0="1.2", mu="0.2", k="5.9", delta="3",
+                   c1="20", c2="10")
+VALID = {
+    "eval": FIG1_VALUES,
+    "figure": {"figure": "1"},
+    "verify": FIG1_VALUES,
+    "simulate": dict(FIG1_VALUES, c1="10", c2="20", x_min="-10", x_max="10",
+                     dx="0.1", dt="0.004", t_end="0.1", snapshot_every="5",
+                     measure_speed=True),
+    "solve": dict(k="5.9", delta="3", mu="0.2", alpha0="1.2"),
+}
+BAD_VALUES = {float: ("nan", "inf", "-inf"), int: ("0",)}
+BAD_CASES = [(cmd, p, bad) for cmd in COMMANDS for p in PARAMS if cmd in p.defaults
+             for bad in BAD_VALUES.get(p.type, ())]
+
+
+def test_valid_values_run(tmp_path):
+    for cmd, values in VALID.items():
+        out = [] if cmd == "solve" else ["--out", str(tmp_path / cmd)]
+        assert main(table_argv(cmd, values) + out) == 0, cmd
+
+
+@pytest.mark.parametrize("cmd, p, bad", BAD_CASES,
+                         ids=[f"{c}-{p.name}={b}" for c, p, b in BAD_CASES])
+def test_out_of_range_value_is_usage_error(tmp_path, capsys, cmd, p, bad):
+    out = tmp_path / "out"
+    argv = table_argv(cmd, {**VALID[cmd], p.name: bad})
+    assert main(argv + ([] if cmd == "solve" else ["--out", str(out)])) == 2
+    err = capsys.readouterr().err
+    assert p.flag in err and f"got {bad}" in err
+    assert not out.exists()  # rejected before any work
+
+
+def test_bad_value_cases_cover_the_reported_silent_answers():
+    cases = {(cmd, p.name, bad) for cmd, p, bad in BAD_CASES}
+    assert {("verify", "tol", "nan"), ("solve", "tol", "nan"), ("eval", "t", "nan"),
+            ("simulate", "level", "nan"), ("simulate", "dx", "nan")} <= cases
+    assert {cmd for cmd, _, _ in cases} == set(COMMANDS)
+
+
+SIM_CONFIG = ("family=A\nalpha0=1.2\nmu=0.2\nk=5.9\ndelta=3\nc1=10\nc2=20\n"
+              "x_min=-10\nx_max=10\ndx=0.1\ndt=0.004\nt_end=0.1\n")
+
+
+@pytest.mark.parametrize("line, key", [
+    ("colour=blue", "colour"),
+    ("t-end=0.1", "t-end"),
+    ("measure_speed=ture", "measure_speed"),
+    ("alpha0=", "alpha0"),
+])
+def test_config_rejects_bad_entry(tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SIM_CONFIG + line + "\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and key in err
+
+
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "missing.cfg"
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert str(cfg) in capsys.readouterr().err
+
+
+def test_out_under_a_regular_file_is_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["figure", "1", "--out", str(blocker / "sub")]) == 2
+    assert str(blocker / "sub") in capsys.readouterr().err
+
+
+# header keys that are computed, not parameters
+DERIVED = {"artifact", "version", "command", "c", "lambda", "beta", "period",
+           "alpha0_note"}
+
+
+def replay(hdr, out):
+    """Rerun the command that wrote a provenance header, into out."""
+    cmd, *number = hdr["command"].split()
+    values = {k: v for k, v in hdr.items()
+              if k not in DERIVED and not k.startswith("pole_")}
+    if cmd == "figure":  # the header echoes the figure's fixed parameter bundle
+        bundle = FIGURES[int(number[0])].keys() - {"alpha0_inferred"}
+        assert values.keys() == bundle | {"case"}
+        values = {"figure": number[0]}
+    if cmd == "simulate":
+        del values["t"]  # the snapshot's time
+    assert main(table_argv(cmd, values) + ["--out", str(out)]) == 0
+
+
+def same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", *FIG1, "--x-min", "-3", "--n", "301", "--t", "0.5"],
+    ["figure", "1"], ["figure", "2"], ["figure", "3"],
+    ["simulate", *SIM_BASE, "--dt", "0.004", "--t-end", "0.1",
+     "--snapshot-every", "5", "--measure-speed"],
+], ids=["eval", "figure1", "figure2", "figure3", "simulate"])
+def test_artifact_replays_from_its_header(tmp_path, argv):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*argv, "--out", str(first)]) == 0
+    hdr, _ = read_csv(sorted(first.glob("*.csv"))[-1])
+    replay(hdr, second)
+    same_files(first, second)
+
+
+def test_verify_report_replays_from_its_parameters(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["verify", *FIG1, "--xi-min", "1", "--tol", "1e-9",
+                 "--out", str(first)]) == 0
+    lines = (first / "verify_report.kv").read_text().splitlines()
+    params = lines[lines.index("failed_equations=") + 1:]
+    replay(dict(line.split("=", 1) for line in ["command=verify", *params]), second)
+    same_files(first, second)

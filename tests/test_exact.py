@@ -7,7 +7,7 @@ from alleewaves.errors import (CaseMismatchError, PoleError,
                                SingularParameterError)
 from alleewaves.exact import (derive_set_a, derive_set_b, eval_G, eval_phi,
                               eval_uv, find_singularities,
-                              find_singularities_raw, make_spec, period_case2,
+                              find_singularities_raw, make_spec,
                               phi_derivatives, phi_with_mask,
                               set_b_reference_alpha0)
 from alleewaves.model import CaseKind, discriminant
@@ -331,30 +331,51 @@ class TestFindSingularities:
                                    5.0, -5.0)
 
 
+def trig_period(spec):
+    """2*pi/sqrt(4*mu - lambda^2), the period of phi in the trigonometric case."""
+    co = spec.coeffs
+    return 2 * math.pi / math.sqrt(4 * co.mu - co.lam ** 2)
+
+
+def fig2_spec():
+    return make_spec("A", 3.0, 5.0, 12.2, 2.0, "upper", 20.0, -10.0)
+
+
 class TestPeriodCase2:
     def test_figure2_value(self):
-        assert period_case2(4.38406, 5.0) == pytest.approx(
-            2 * math.pi / math.sqrt(0.78), abs=1e-4)
+        spec = fig2_spec()
+        assert spec.period == pytest.approx(trig_period(spec), rel=1e-12)
+        assert spec.period == pytest.approx(2 * math.pi / math.sqrt(0.78), abs=1e-4)
 
     def test_tan_period(self):
-        assert period_case2(0.0, 1.0) == pytest.approx(math.pi)
+        # k = 2*alpha0 gives lambda = 0, so phi = tan(xi) at mu = 1
+        spec = make_spec("A", 1.0, 1.0, 2.0, 1.0, "upper", 1.0, 0.5)
+        assert spec.coeffs.lam == 0.0
+        assert spec.period == pytest.approx(math.pi)
 
     def test_half_angle(self):
-        assert period_case2(0.0, 0.25) == pytest.approx(2 * math.pi)
+        spec = make_spec("A", 1.0, 0.25, 2.0, 1.0, "upper", 1.0, 0.5)
+        assert spec.period == pytest.approx(2 * math.pi)
+
+    @pytest.mark.parametrize("alpha0, mu, k, delta, branch", [
+        (2.0, 3.0, 1.0, 1.0, "upper"),
+        (0.5, 1.5, 2.0, 0.7, "upper"),
+        (1.0, 4.0, 3.0, 2.0, "lower"),
+    ])
+    def test_other_trigonometric_specs(self, alpha0, mu, k, delta, branch):
+        # family B is never trigonometric (test_discriminant_never_negative)
+        spec = make_spec("A", alpha0, mu, k, delta, branch, 1.0, 0.5)
+        assert spec.case is CaseKind.TRIGONOMETRIC
+        assert spec.period == pytest.approx(trig_period(spec), rel=1e-12)
 
     def test_spec_period_only_when_periodic(self):
-        spec = make_spec("A", 3.0, 5.0, 12.2, 2.0, "upper", 20.0, -10.0)
-        assert spec.period == period_case2(spec.coeffs.lam, spec.coeffs.mu)
+        assert fig2_spec().period == trig_period(fig2_spec())
         assert fig1_spec().period is None
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            period_case2(2.0, 1.0)
-
     def test_phi_periodicity(self):
-        spec = make_spec("A", 3.0, 5.0, 12.2, 2.0, "upper", 20.0, -10.0)
+        spec = fig2_spec()
         co = spec.coeffs
-        T = period_case2(co.lam, co.mu)
+        T = spec.period
         xi = np.linspace(0.2, 0.2 + T * 0.8, 500)
         a = eval_phi(spec.case, co.lam, co.mu, 20.0, -10.0, xi)
         b = eval_phi(spec.case, co.lam, co.mu, 20.0, -10.0, xi + T)
