@@ -149,7 +149,8 @@ def _parse_config(path, params):
 
 def resolve(ns) -> dict:
     """The command's parameter values: defaults, then --config, then flags;
-    ValueError names what is missing or the flag whose value is out of range."""
+    ValueError names what is missing, the flag whose value is out of range,
+    or the two flags of a window given in the wrong order."""
     params = [p for p in PARAMS if ns.cmd in p.defaults]
     par = {p.name: p.defaults[ns.cmd] for p in params}
     if getattr(ns, "config", None):
@@ -163,6 +164,10 @@ def resolve(ns) -> dict:
         want = None if par[p.name] is None else _violation(p, par[p.name])
         if want:
             raise ValueError(f"{p.flag}: {p.name} must be {want}, got {par[p.name]}")
+    flag = {p.name: p.flag for p in params}
+    for lo, hi in (("x_min", "x_max"), ("xi_min", "xi_max")):  # window ends
+        if lo in par and not par[lo] < par[hi]:
+            raise ValueError(f"{flag[lo]} {par[lo]} must be less than {flag[hi]} {par[hi]}")
     return par
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import CaseMismatchError, PoleError, SingularParameterError
-from .model import DEFAULT_EPS_DISC, CaseKind, classify_case, discriminant
+from .model import CaseKind, classify_case, discriminant
 
 SQRT2 = math.sqrt(2.0)
 
@@ -154,37 +154,26 @@ class SolutionSpec:
         return forms.period(q)
 
 
-def make_spec(family, alpha0, mu, k, delta, branch="upper", c1=1.0, c2=0.0,
-              eps_disc=DEFAULT_EPS_DISC) -> SolutionSpec:
+def make_spec(family, alpha0, mu, k, delta, branch="upper", c1=1.0, c2=0.0) -> SolutionSpec:
     """Derive the family coefficients and classify the case in one step."""
     if family not in FAMILIES:
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
     coeffs = FAMILIES[family](alpha0, mu, k, delta, branch)
-    case = classify_case(coeffs.lam, coeffs.mu, eps_disc)
+    case = classify_case(coeffs.lam, coeffs.mu)
     return SolutionSpec(family=family, branch=branch, case=case,
                         c1=float(c1), c2=float(c2), coeffs=coeffs)
 
 
 def _hyperbolic_amp(q, c1, c2, xi):
-    th = q * xi
-    A = c1 * np.sinh(th) + c2 * np.cosh(th)
-    return A, q * (c1 * np.cosh(th) + c2 * np.sinh(th)), q * q * A
-
-
-def _hyperbolic_ratio(q, c1, c2, xi):
-    T = np.tanh(q * xi)  # stays bounded where cosh overflows (|q*xi| > ~710)
-    return q * (c1 + c2 * T), c1 * T + c2
+    T = np.tanh(q * xi)  # the row is divided by cosh(q*xi), bounded where cosh overflows
+    A = c1 * T + c2
+    return A, q * (c1 + c2 * T), q * q * A
 
 
 def _trigonometric_amp(q, c1, c2, xi):
-    th = q * xi
-    A = c1 * np.cos(th) + c2 * np.sin(th)
-    return A, q * (-c1 * np.sin(th) + c2 * np.cos(th)), -q * q * A
-
-
-def _trigonometric_ratio(q, c1, c2, xi):
     s, co = np.sin(q * xi), np.cos(q * xi)
-    return q * (-c1 * s + c2 * co), c1 * co + c2 * s
+    A = c1 * co + c2 * s
+    return A, q * (-c1 * s + c2 * co), -q * q * A
 
 
 def _trigonometric_zeros(q, c1, c2, xi_lo, xi_hi):
@@ -198,17 +187,17 @@ def _trigonometric_zeros(q, c1, c2, xi_lo, xi_hi):
 class _Forms(NamedTuple):
     """The closed forms of one regime of G'' + lam*G' + mu*G = 0.
 
-    G = exp(-lam*xi/2) * A(xi) with a bounded amplitude A, and each form
-    takes the rate q = sqrt(|lam^2 - 4*mu|)/2.  amp gives (A, A', A'') on
-    arrays; ratio gives A'/A as (num, den) with both bounded; zeros gives the
-    analytic zeros of A, the poles of phi, covering [xi_lo, xi_hi]; den is
-    ratio's den at one point through scalar math calls, for the brentq
-    polish (np.tanh and math.tanh may differ in the last ulp, and polished
-    poles must not move); period gives the period of phi, None if aperiodic.
+    G = exp(-lam*xi/2) * A(xi), and each form takes the rate
+    q = sqrt(|lam^2 - 4*mu|)/2.  amp gives (A, A', A'')/s on arrays, with
+    s = cosh(q*xi) in the hyperbolic row and s = 1 in the others, so all
+    three stay bounded and phi = -lam/2 + A'/A; zeros gives the analytic
+    zeros of A, the poles of phi, covering [xi_lo, xi_hi]; den is amp's A/s
+    at one point through scalar math calls, for the brentq polish (np.tanh
+    and math.tanh may differ in the last ulp, and polished poles must not
+    move); period gives the period of phi, None if aperiodic.
     """
 
     amp: Callable
-    ratio: Callable
     zeros: Callable
     den: Callable
     period: Callable = lambda q: None
@@ -218,7 +207,6 @@ _CASES = {
     # A = c1*sinh(q*xi) + c2*cosh(q*xi), q = sqrt(lam^2 - 4*mu)/2
     CaseKind.HYPERBOLIC: _Forms(
         amp=_hyperbolic_amp,
-        ratio=_hyperbolic_ratio,
         # tanh(q*xi) = -c2/c1 has a root only when |c2| < |c1|
         zeros=lambda q, c1, c2, xi_lo, xi_hi: (
             [math.atanh(-c2 / c1) / q] if c1 != 0 and abs(c2) < abs(c1) else []),
@@ -226,7 +214,6 @@ _CASES = {
     # A = c1*cos(q*xi) + c2*sin(q*xi), q = sqrt(4*mu - lam^2)/2
     CaseKind.TRIGONOMETRIC: _Forms(
         amp=_trigonometric_amp,
-        ratio=_trigonometric_ratio,
         zeros=_trigonometric_zeros,
         den=lambda q, c1, c2, xi: c1 * math.cos(q * xi) + c2 * math.sin(q * xi),
         period=lambda q: math.pi / q),
@@ -234,7 +221,6 @@ _CASES = {
     CaseKind.DEGENERATE: _Forms(
         amp=lambda q, c1, c2, xi: (c1 + c2 * xi, np.full_like(xi, float(c2)),
                                    np.zeros_like(xi)),
-        ratio=lambda q, c1, c2, xi: (c2, c1 + c2 * xi),
         zeros=lambda q, c1, c2, xi_lo, xi_hi: [-c1 / c2] if c2 != 0 else [],
         den=lambda q, c1, c2, xi: c1 + c2 * xi),
 }
@@ -246,35 +232,30 @@ def _forms(case: CaseKind, lam, mu):
     return _CASES[case], 0.5 * math.sqrt(abs(lam * lam - 4.0 * mu))
 
 
-def eval_G(case: CaseKind, lam, mu, c1, c2, xi):
-    """The auxiliary solution G and its derivatives G', G'' at xi (vectorized).
+def eval_amplitude(case: CaseKind, lam, mu, c1, c2, xi):
+    """The bounded amplitude (A, A', A'')/s of G = exp(-lam*xi/2) * A at xi.
 
-    Hyperbolic:     G = exp(-lam*xi/2) * (c1*sinh(r*xi/2) + c2*cosh(r*xi/2))
-    Trigonometric:  G = exp(-lam*xi/2) * (c1*cos(w*xi) + c2*sin(w*xi))
-    Degenerate:     G = (c1 + c2*xi) * exp(-lam*xi/2)
+    Hyperbolic:     A = c1*sinh(q*xi) + c2*cosh(q*xi),  s = cosh(q*xi)
+    Trigonometric:  A = c1*cos(q*xi) + c2*sin(q*xi),    s = 1
+    Degenerate:     A = c1 + c2*xi,                     s = 1
 
-    with r = sqrt(lam^2-4mu), w = sqrt(4mu-lam^2)/2.  G'' is differentiated
-    from the case formula, never taken from the ODE.
+    with q = sqrt(|lam^2 - 4*mu|)/2.  A'' is differentiated from the case
+    formula, never taken from the ODE.
     """
-    xi = np.asarray(xi, dtype=float)
-    E = np.exp(-0.5 * lam * xi)
     forms, q = _forms(case, lam, mu)
-    A, Ap, App = forms.amp(q, c1, c2, xi)
-    return (E * A, E * (Ap - 0.5 * lam * A),
-            E * (App - lam * Ap + 0.25 * lam * lam * A))
+    return forms.amp(q, c1, c2, np.asarray(xi, dtype=float))
 
 
 def phi_with_mask(case: CaseKind, lam, mu, c1, c2, xi):
     """phi and a validity mask (False where the pole floor is hit).
 
-    The exponential prefactor of G cancels in phi = G'/G, which leaves
-    phi = -lam/2 + A'/A through the case's bounded ratio.
+    The exponential prefactor of G and the scale s cancel in phi = G'/G,
+    which leaves phi = -lam/2 + A'/A on the bounded amplitude.
     """
-    forms, q = _forms(case, lam, mu)
-    num, den = forms.ratio(q, c1, c2, np.asarray(xi, dtype=float))
+    A, Ap, _ = eval_amplitude(case, lam, mu, c1, c2, xi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi = -0.5 * lam + num / den
-    ok = np.abs(den) >= POLE_FLOOR * (abs(c1) + abs(c2))
+        phi = -0.5 * lam + Ap / A
+    ok = np.abs(A) >= POLE_FLOOR * (abs(c1) + abs(c2))
     return phi, ok
 
 

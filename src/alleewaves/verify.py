@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlleeWavesError, PoleError
-from .exact import (CaseKind, SolutionSpec, eval_G, eval_uv, find_singularities,
-                    phi_derivatives)
+from .exact import (CaseKind, SolutionSpec, eval_amplitude, eval_uv,
+                    find_singularities, phi_derivatives)
 
 MIN_EXCLUSION_RADIUS = 1e-3
 
@@ -183,20 +183,24 @@ def pde_residual(spec: SolutionSpec, x_window, t_window, nx=401, nt=101) -> Resi
 def check_G_ode(case: CaseKind, lam, mu, c1, c2, xi_grid) -> ResidualReport:
     """Residual of G'' + lam*G' + mu*G from the closed form's own second derivative.
 
-    G'' is differentiated directly from the case formula (never substituted
-    from the ODE), and the result is normalized by max|G| on the grid.
-    Raises AlleeWavesError where G, G' or G'' is not finite: exp(-lam*xi/2)
-    overflows on wide windows.
+    G, G' and G'' are formed divided by E*s, E = exp(-lam*xi/2), from the
+    case's bounded amplitude (A, A', A'')/s, so no finite window overflows;
+    A'' comes from the case formula, never from the ODE.  The residual is
+    normalized by max|A/s| on the grid.  Raises AlleeWavesError where the
+    amplitude is not finite, as at a non-finite xi.
     """
     xi = np.asarray(xi_grid, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        G, Gp, Gpp = eval_G(case, lam, mu, c1, c2, xi)
-    finite = np.isfinite(G) & np.isfinite(Gp) & np.isfinite(Gpp)
+        A, Ap, App = eval_amplitude(case, lam, mu, c1, c2, xi)
+    finite = np.isfinite(A) & np.isfinite(Ap) & np.isfinite(App)
     if not finite.all():
         raise AlleeWavesError(f"G or its derivatives are not finite at"
-                              f" xi={xi[~finite][0]:.6g}; narrow the window")
-    res = Gpp + lam * Gp + mu * G
-    scale = float(np.max(np.abs(G)))
+                              f" xi={xi[~finite][0]:.6g}")
+    # G'/(E*s) and G''/(E*s) by the chain rule; G/(E*s) is A
+    Gp = Ap - 0.5 * lam * A
+    Gpp = App - lam * Ap + 0.25 * lam * lam * A
+    res = Gpp + lam * Gp + mu * A
+    scale = float(np.max(np.abs(A)))
     norm = np.abs(res) / (scale if scale > 0 else 1.0)
     i = int(np.argmax(norm))
     return ResidualReport(

@@ -90,10 +90,15 @@ class TestVerify:
         assert "prey" in text and "predator" in text
 
 
-    def test_overflowing_window_is_numeric_failure(self, tmp_path, capsys):
-        assert main(["verify", *FIG1, "--xi-min", "-300", "--xi-max", "300",
-                     "--out", str(tmp_path)]) == 3
-        assert "xi=" in capsys.readouterr().err
+    @pytest.mark.parametrize("half", ["300", "5000"])
+    def test_wide_window_passes(self, tmp_path, half):
+        assert main(["verify", *FIG1, "--xi-min", "-" + half, "--xi-max", half,
+                     "--out", str(tmp_path)]) == 0
+        kv = (tmp_path / "verify_report.kv").read_text()
+        assert "pass=1" in kv
+        g = float(next(line for line in kv.splitlines()
+                       if line.startswith("max_abs.G_ode=")).split("=")[1])
+        assert g < 1e-12
 
 
 SIM_BASE = ["--family", "A", "--alpha0", "1.2", "--mu", "0.2", "--k", "5.9",
@@ -224,6 +229,23 @@ def test_bad_value_cases_cover_the_reported_silent_answers():
     assert {("verify", "tol", "nan"), ("solve", "tol", "nan"), ("eval", "t", "nan"),
             ("simulate", "level", "nan"), ("simulate", "dx", "nan")} <= cases
     assert {cmd for cmd, _, _ in cases} == set(COMMANDS)
+
+
+WINDOWS = {"eval": ("x_min", "x_max"), "simulate": ("x_min", "x_max"),
+           "verify": ("xi_min", "xi_max")}
+
+
+@pytest.mark.parametrize("cmd", WINDOWS)
+@pytest.mark.parametrize("lo, hi", [("5", "-5"), ("1", "1")], ids=["reversed", "equal"])
+def test_window_order_is_usage_error(tmp_path, capsys, cmd, lo, hi):
+    out = tmp_path / "out"
+    name_lo, name_hi = WINDOWS[cmd]
+    argv = table_argv(cmd, {**VALID[cmd], name_lo: lo, name_hi: hi})
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    flag_lo, flag_hi = ("--" + name.replace("_", "-") for name in WINDOWS[cmd])
+    assert f"{flag_lo} {float(lo)}" in err and f"{flag_hi} {float(hi)}" in err
+    assert not out.exists()  # rejected before any work
 
 
 SIM_CONFIG = ("family=A\nalpha0=1.2\nmu=0.2\nk=5.9\ndelta=3\nc1=10\nc2=20\n"

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from alleewaves.errors import (CaseMismatchError, PoleError,
                                SingularParameterError)
-from alleewaves.exact import (derive_set_a, derive_set_b, eval_G, eval_phi,
+from alleewaves.exact import (derive_set_a, derive_set_b, eval_amplitude, eval_phi,
                               eval_uv, find_singularities,
                               find_singularities_raw, make_spec,
                               phi_derivatives, phi_with_mask,
@@ -118,25 +120,81 @@ class TestPaperAlpha0Selections:
         assert set_b_reference_alpha0(2.0) == pytest.approx(2.0)
 
 
+def textbook_G(case, lam, mu, c1, c2, xi):
+    """G = exp(-lam*xi/2) * A(xi) with G' and G'', written out per case."""
+    xi = np.asarray(xi, dtype=float)
+    E = np.exp(-0.5 * lam * xi)
+    q = 0.5 * math.sqrt(abs(lam * lam - 4.0 * mu))
+    if case is CaseKind.HYPERBOLIC:
+        A = c1 * np.sinh(q * xi) + c2 * np.cosh(q * xi)
+        Ap, App = q * (c1 * np.cosh(q * xi) + c2 * np.sinh(q * xi)), q * q * A
+    elif case is CaseKind.TRIGONOMETRIC:
+        A = c1 * np.cos(q * xi) + c2 * np.sin(q * xi)
+        Ap, App = q * (-c1 * np.sin(q * xi) + c2 * np.cos(q * xi)), -q * q * A
+    else:
+        A, Ap, App = c1 + c2 * xi, c2 + 0.0 * xi, 0.0 * xi
+    return E * A, E * (Ap - 0.5 * lam * A), E * (App - lam * Ap + 0.25 * lam * lam * A)
+
+
+def G_from_amplitude(case, lam, mu, c1, c2, xi):
+    """G, G', G'' rebuilt from eval_amplitude's (A, A', A'')/s."""
+    xi = np.asarray(xi, dtype=float)
+    A, Ap, App = eval_amplitude(case, lam, mu, c1, c2, xi)
+    q = 0.5 * math.sqrt(abs(lam * lam - 4.0 * mu))
+    Es = np.exp(-0.5 * lam * xi) * (np.cosh(q * xi) if case is CaseKind.HYPERBOLIC else 1.0)
+    return Es * A, Es * (Ap - 0.5 * lam * A), Es * (App - lam * Ap + 0.25 * lam * lam * A)
+
+
+def random_case(rng):
+    """(case, lam, mu, c1, c2) with the case chosen uniformly."""
+    lam = rng.uniform(-2, 2)
+    kind = rng.randint(3)
+    if kind == 0:
+        mu = lam * lam / 4 - rng.uniform(0.05, 2)
+        case = CaseKind.HYPERBOLIC
+    elif kind == 1:
+        mu = lam * lam / 4 + rng.uniform(0.05, 2)
+        case = CaseKind.TRIGONOMETRIC
+    else:
+        mu = lam * lam / 4
+        case = CaseKind.DEGENERATE
+    c1, c2 = rng.uniform(-3, 3, 2)
+    if abs(c1) + abs(c2) < 0.1:
+        c1 = 1.0
+    return case, lam, mu, c1, c2
+
+
 class TestEvalG:
+    """G and its derivatives rebuilt from the bounded amplitude."""
+
     def test_degenerate_at_origin(self):
-        G, Gp, _ = eval_G(CaseKind.DEGENERATE, 2.0, 1.0, 1.0, 0.0, 0.0)
+        G, Gp, _ = G_from_amplitude(CaseKind.DEGENERATE, 2.0, 1.0, 1.0, 0.0, 0.0)
         assert G == 1.0
         assert Gp == -1.0
 
     def test_hyperbolic_pure_cosh(self):
-        G, Gp, _ = eval_G(CaseKind.HYPERBOLIC, 0.0, -1.0, 0.0, 1.0, 0.0)
+        G, Gp, _ = G_from_amplitude(CaseKind.HYPERBOLIC, 0.0, -1.0, 0.0, 1.0, 0.0)
         assert G == 1.0
         assert Gp == 0.0
 
     def test_trigonometric_cos(self):
-        G, Gp, _ = eval_G(CaseKind.TRIGONOMETRIC, 0.0, 1.0, 1.0, 0.0, math.pi)
+        G, Gp, _ = G_from_amplitude(CaseKind.TRIGONOMETRIC, 0.0, 1.0, 1.0, 0.0, math.pi)
         assert G == pytest.approx(-1.0)
         assert Gp == pytest.approx(0.0, abs=1e-15)
 
     def test_case_mismatch(self):
         with pytest.raises(CaseMismatchError):
-            eval_G(CaseKind.HYPERBOLIC, 0.0, 1.0, 1.0, 0.0, 0.0)
+            eval_amplitude(CaseKind.HYPERBOLIC, 0.0, 1.0, 1.0, 0.0, 0.0)
+
+    def test_matches_textbook_G(self):
+        rng = np.random.RandomState(11)
+        xi = np.linspace(-8, 8, 401)
+        for _ in range(50):
+            case, lam, mu, c1, c2 = random_case(rng)
+            got = G_from_amplitude(case, lam, mu, c1, c2, xi)
+            for g, want in zip(got, textbook_G(case, lam, mu, c1, c2, xi)):
+                scale = float(np.max(np.abs(want)))
+                np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestEvalPhi:
@@ -162,22 +220,9 @@ class TestEvalPhi:
     def test_matches_G_quotient(self):
         rng = np.random.RandomState(12)
         for _ in range(50):
-            lam = rng.uniform(-2, 2)
-            kind = rng.randint(3)
-            if kind == 0:
-                mu = lam * lam / 4 - rng.uniform(0.05, 2)
-                case = CaseKind.HYPERBOLIC
-            elif kind == 1:
-                mu = lam * lam / 4 + rng.uniform(0.05, 2)
-                case = CaseKind.TRIGONOMETRIC
-            else:
-                mu = lam * lam / 4
-                case = CaseKind.DEGENERATE
-            c1, c2 = rng.uniform(-3, 3, 2)
-            if abs(c1) + abs(c2) < 0.1:
-                c1 = 1.0
+            case, lam, mu, c1, c2 = random_case(rng)
             xi = np.linspace(-8, 8, 401)
-            G, Gp, _ = eval_G(case, lam, mu, c1, c2, xi)
+            G, Gp, _ = textbook_G(case, lam, mu, c1, c2, xi)
             phi, ok = phi_with_mask(case, lam, mu, c1, c2, xi)
             keep = ok & (np.abs(G) > 1e-6 * (abs(c1) + abs(c2)))
             np.testing.assert_allclose(phi[keep], Gp[keep] / G[keep],
@@ -269,6 +314,14 @@ class TestSolutionSpec:
         spec = fig1_spec()
         assert spec.case is CaseKind.HYPERBOLIC
 
+    def test_near_tie_classified_by_the_checked_threshold(self):
+        # lam^2 - 4*mu = -4e-7; make_spec classifies with the one threshold
+        # SolutionSpec checks against and takes no other
+        spec = make_spec("A", 1.0, 0.5 + 1e-7, 4.0, 3.0)
+        assert spec.case is CaseKind.TRIGONOMETRIC
+        with pytest.raises(TypeError):
+            make_spec("A", 1.0, 0.5 + 1e-7, 4.0, 3.0, eps_disc=1e-3)
+
 
 class TestFindSingularities:
     def test_hyperbolic_single_pole(self):
@@ -329,6 +382,44 @@ class TestFindSingularities:
         with pytest.raises(ValueError):
             find_singularities_raw(CaseKind.DEGENERATE, 2.0, 1.0, 1.0, 1.0,
                                    5.0, -5.0)
+
+
+@st.composite
+def amplitude_windows(draw):
+    """(case, lam, mu, c1, c2, xi_lo, xi_hi) over all three cases."""
+    case = draw(st.sampled_from(list(CaseKind)))
+    lam = draw(st.floats(-5.0, 5.0))
+    mu = lam * lam / 4.0  # lam^2 - 4*mu vanishes exactly in binary arithmetic
+    if case is not CaseKind.DEGENERATE:
+        gap = draw(st.floats(1e-6, 4.0))
+        mu += -gap if case is CaseKind.HYPERBOLIC else gap
+    c1, c2 = draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))
+    assume(abs(c1) + abs(c2) >= 0.1)
+    lo = draw(st.floats(-35.0, 35.0))
+    return case, lam, mu, c1, c2, lo, lo + draw(st.floats(0.01, 30.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(draw=amplitude_windows())
+def test_pole_search_misses_no_zero(draw):
+    # every sign change of the bounded amplitude in a dense scan has a pole
+    # within one scan spacing, and every pole has such a sign change; a zero
+    # within one spacing of a window end may round to either side of it
+    case, lam, mu, c1, c2, lo, hi = draw
+    xi = np.linspace(lo, hi, 20001)
+    h = xi[1] - xi[0]
+    A = eval_amplitude(case, lam, mu, c1, c2, xi)[0]
+    nz = np.nonzero(A)[0]  # a sample that rounds to 0 carries no sign
+    sign = np.sign(A[nz])
+    i = np.nonzero(sign[:-1] != sign[1:])[0]
+    changes = 0.5 * (xi[nz[i]] + xi[nz[i + 1]])
+    poles = np.array(find_singularities_raw(case, lam, mu, c1, c2, lo, hi))
+    for a, b in ((changes, poles), (poles, changes)):
+        for x in a[(a > lo + h) & (a < hi - h)]:
+            # rounding of A, about 1e-15*(|c1| + |c2|), moves its sign by that over |A'|
+            slope = abs(eval_amplitude(case, lam, mu, c1, c2, x)[1])
+            slack = h + 1e-15 * (abs(c1) + abs(c2)) / slope
+            assert b.size and np.min(np.abs(b - x)) <= slack, (x, b)
 
 
 def trig_period(spec):

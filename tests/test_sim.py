@@ -443,3 +443,39 @@ class TestWaveSpeed:
     def test_needs_two_snapshots(self):
         with pytest.raises(ValueError):
             measure_wave_speed([uniform_field(1.0, 0.0)], 0.5)
+
+
+@st.composite
+def hyperbolic_fronts(draw):
+    """A pole-free hyperbolic front of either family and branch, with its rate q.
+
+    Drawn over k in [0.5, 8], delta in [0.5, 5], mu in [0.05, 2] and
+    alpha0 in [0.2, 3], kept when beta >= 0 and q = sqrt(lam^2 - 4*mu)/2
+    >= 0.1; c1 = 10, c2 = 20 keeps A = c1*sinh + c2*cosh free of zeros.
+    """
+    spec = make_spec(draw(st.sampled_from("AB")), draw(st.floats(0.2, 3.0)),
+                     draw(st.floats(0.05, 2.0)), draw(st.floats(0.5, 8.0)),
+                     draw(st.floats(0.5, 5.0)), draw(st.sampled_from(["upper", "lower"])),
+                     c1=10.0, c2=20.0)
+    co = spec.coeffs
+    q = 0.5 * math.sqrt(max(co.lam * co.lam - 4.0 * co.mu, 0.0))
+    assume(co.beta_model >= 0.0 and q >= 0.1)
+    return spec, q
+
+
+@settings(max_examples=20, deadline=None)
+@given(front=hyperbolic_fronts())
+def test_both_wave_speeds_by_simulation(front):
+    # the measured speed of each family's front matches its closed-form c
+    spec, q = front
+    co = spec.coeffs
+    dx, dt = 0.1, 0.004
+    half = max(40.0, 12.0 / q)
+    x = np.arange(-half, half + 0.5 * dx, dx)
+    n_steps = max(1, round(min(4.0, half / (4.0 * abs(co.c))) / dt))
+    u0, v0, _ = eval_uv_masked(spec, x, 0.0)
+    cfg = SimConfig(k=co.k, delta=co.delta, beta=co.beta_model, dt=dt,
+                    t_end=n_steps * dt, snapshot_every=max(1, n_steps // 8))
+    snaps = simulate(GridField(x0=float(x[0]), dx=dx, u=u0, v=v0, t=0.0), cfg)
+    speed = measure_wave_speed(snaps, 0.5 * (float(u0.min()) + float(u0.max())))
+    assert abs(speed - co.c) <= 1e-2 * abs(co.c)

@@ -131,11 +131,19 @@ class TestCheckGOde:
         assert rep.max_abs[0] < 1e-13
 
 
-    def test_overflow_raises(self):
-        # exp(-lam*xi/2)*cosh(r*xi/2) exceeds the largest double near xi = 295
-        with pytest.raises(AlleeWavesError, match=r"xi=29\d"):
-            check_G_ode(CaseKind.HYPERBOLIC, -2.47487, 0.2, 20.0, 10.0,
-                        np.linspace(-300, 300, 1001))
+    @pytest.mark.parametrize("half", [300.0, 5000.0])
+    def test_wide_window(self, half):
+        # exp(-lam*xi/2)*cosh(q*xi/2) exceeds the largest double near xi = 295;
+        # the residual is formed divided by it
+        rep = check_G_ode(CaseKind.HYPERBOLIC, -2.47487, 0.2, 20.0, 10.0,
+                          np.linspace(-half, half, 1001))
+        assert rep.max_abs[0] < 1e-12
+
+    def test_nonfinite_xi_raises(self):
+        xi = np.linspace(-5, 5, 11)
+        xi[3] = np.nan
+        with pytest.raises(AlleeWavesError, match=r"xi=nan"):
+            check_G_ode(CaseKind.HYPERBOLIC, -2.47487, 0.2, 20.0, 10.0, xi)
 
 
 class TestDerivativeCrosscheck:
