@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .algebraic import closed_form_targets, deviation, match_root, solve_families
-from .errors import (AlleeWavesError, BlowUpError, NoConvergenceError,
-                     PoleError, StabilityError, TrackingError)
+from .errors import (AlleeWavesError, BlowUpError, PoleError, StabilityError,
+                     TrackingError)
 from .exact import (FAMILIES, eval_uv_masked, find_singularities, make_spec,
                     set_b_reference_alpha0)
 from .model import CaseKind
@@ -395,7 +395,7 @@ def main(argv=None) -> int:
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[ns.cmd][0](par, out)
-    except (BlowUpError, NoConvergenceError, PoleError, TrackingError) as exc:
+    except (BlowUpError, PoleError, TrackingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (StabilityError, ValueError, OSError) as exc:

@@ -46,8 +46,21 @@ class TrackingError(AlleeWavesError):
 
 
 class NoConvergenceError(AlleeWavesError):
-    """Root finding failed from every start; carries the best residual seen."""
+    """Root finding failed from every start; carries the best residual seen.
+
+    The package's own root search enumerates its roots and never raises this.
+    """
 
     def __init__(self, best_residual):
         self.best_residual = best_residual
         super().__init__(f"no root converged; best residual norm {best_residual:.3e}")
+
+
+class NonIsolatedRootsError(AlleeWavesError):
+    """The coefficient equations hold for every lambda in one sign branch."""
+
+    def __init__(self, alpha1, beta1):
+        self.alpha1 = alpha1
+        self.beta1 = beta1
+        super().__init__(f"roots are not isolated in the branch alpha1={alpha1:+.6g},"
+                         f" beta1={beta1:+.6g}: every lambda solves it")

@@ -171,6 +171,19 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "Set B: not applicable: alpha0=0" in out
 
+    def test_former_no_root_draw(self, capsys):
+        # no start of the old 128-start grid reached a root here
+        assert main(["solve", "--k", "7.92716605802171", "--delta", "4.425510927931301",
+                     "--mu", "1.2872475159527776", "--alpha0", "1.5249218747823625"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("4 admissible root(s)")
+        assert out.count("  root: ") == 4
+        assert "not recovered" not in out
+
+    def test_non_isolated_roots_exit_3(self, capsys):
+        assert main(["solve", "--k", "1", "--delta", "1", "--mu", "0", "--alpha0", "0"]) == 3
+        assert "branch alpha1=+1.41421, beta1=+1.41421" in capsys.readouterr().err
+
 
 def table_argv(cmd, values):
     """argv for cmd from {parameter name: value}, built from cli.PARAMS.
