@@ -117,7 +117,7 @@ def _jac(y, k, d, mu, a0):
 
 
 def default_init_grid(alpha0, delta):
-    """Deterministic multi-start grid over (a1, b1, b0, lam, c, beta)."""
+    """128 deterministic starts over (a1, b1, b0, lam, c, beta), for ``init_grid``."""
     b0 = alpha0 / math.sqrt(delta)
     return [
         np.array([a1, b1, b0, L, c, B])
@@ -185,9 +185,9 @@ def solve_families(k, delta, mu, alpha0, init_grid=None):
     (starts that are not finite, or whose rows are not, are skipped).
     Returns the deduplicated ExpansionCoeffs roots with residual norm below
     RESIDUAL_TOL, sorted lexicographically; an empty list means that no
-    admissible root passes RESIDUAL_TOL.  Raises ValueError for a non-finite parameter or
-    delta <= 0, and NonIsolatedRootsError when the roots of a sign branch
-    form a curve in lambda (mu = alpha0 = 0).
+    admissible root passes RESIDUAL_TOL.  Raises ValueError for a
+    non-finite parameter or delta <= 0, and NonIsolatedRootsError when the
+    roots of a sign branch form a curve in lambda (mu = alpha0 = 0).
     """
     for name, value in (("k", k), ("delta", delta), ("mu", mu), ("alpha0", alpha0)):
         if not math.isfinite(value):

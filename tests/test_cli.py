@@ -172,7 +172,7 @@ class TestSolve:
         assert "Set B: not applicable: alpha0=0" in out
 
     def test_former_no_root_draw(self, capsys):
-        # no start of the old 128-start grid reached a root here
+        # MINPACK from any of the 128 default_init_grid starts reaches no root here
         assert main(["solve", "--k", "7.92716605802171", "--delta", "4.425510927931301",
                      "--mu", "1.2872475159527776", "--alpha0", "1.5249218747823625"]) == 0
         out = capsys.readouterr().out
