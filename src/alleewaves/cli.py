@@ -25,8 +25,7 @@ from . import __version__
 from .algebraic import closed_form_targets, deviation, match_root, solve_families
 from .errors import (AlleeWavesError, BlowUpError, PoleError, StabilityError,
                      TrackingError)
-from .exact import (FAMILIES, eval_uv_masked, find_singularities, make_spec,
-                    set_b_reference_alpha0)
+from .exact import FAMILIES, eval_uv_masked, find_singularities, make_spec
 from .model import CaseKind
 from .output import FLOAT_FMT, write_csv, write_svg
 from .sim import GridField, SimConfig, measure_wave_speed, simulate
@@ -45,7 +44,7 @@ FIGURES = {
             c1=20.0, c2=10.0, t=0.0, x_min=-5.0, x_max=5.0, n=1001),
     2: dict(family="A", branch="upper", alpha0=3.0, mu=5.0, k=12.2, delta=2.0,
             c1=20.0, c2=-10.0, t=50.0, x_min=-15.0, x_max=15.0, n=6001),
-    3: dict(family="B", branch="upper", alpha0=set_b_reference_alpha0(1.0), mu=1.0,
+    3: dict(family="B", branch="upper", alpha0=math.sqrt(2.0), mu=1.0,
             k=2.03, delta=3.0, c1=20.0, c2=10.0, t=10.0,
             xi_min=-5.0, xi_max=5.0, n=1001, alpha0_inferred=True),
 }
@@ -370,8 +369,8 @@ def cmd_solve(par, _out) -> int:
             matched.add(hit[0])
             print(f"        matches {hit[0]}, max componentwise dev"
                   f" {deviation(r, hit[1]):.3e}")
-    if par["alpha0"] == 0:
-        print("  Set B: not applicable: alpha0=0")
+    if len(targets) < 2 * len(FAMILIES):  # closed_form_targets left Set B out
+        print(f"  Set B: not applicable: alpha0={par['alpha0']:g}")
     for name, _ in targets:
         if name not in matched:
             print(f"  warning: closed form {name} not recovered")

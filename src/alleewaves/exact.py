@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import CaseMismatchError, PoleError, SingularParameterError
 from .model import CaseKind, classify_case, discriminant
@@ -97,23 +96,23 @@ def derive_set_a(alpha0, mu, k, delta, branch="upper") -> ExpansionCoeffs:
 
 
 def derive_set_b(alpha0, mu, k, delta, branch="upper") -> ExpansionCoeffs:
-    """Family (b): wave speed c = +-(2k - 3*alpha0 + 6*mu/alpha0)/sqrt(2)."""
-    if alpha0 == 0:
-        raise SingularParameterError("Set B requires alpha0 != 0 (it divides)")
-    sg = _branch_sign(branch)
+    """Family (b): wave speed c = +-(2k - 3*alpha0 + 6*mu/alpha0)/sqrt(2).
+
+    Raises SingularParameterError where alpha0**2 rounds to 0 (the family
+    divides by it) or lam, c or beta is not finite.
+    """
     a0sq = alpha0 * alpha0
-    return _family_coeffs(
-        sg, alpha0, mu, k, delta,
-        lam=sg * (a0sq + 2.0 * mu) / (SQRT2 * alpha0),
-        c=sg * (2.0 * k - 3.0 * alpha0 + 6.0 * mu / alpha0) / SQRT2,
-        beta_model=-(a0sq - 2.0 * mu) * (-k * alpha0 + a0sq - 2.0 * mu) / a0sq)
-
-
-def set_b_reference_alpha0(mu) -> float:
-    """Reference alpha0 selection for family (b): sqrt(2*mu) (degenerate, lam=2*sqrt(mu))."""
-    if mu < 0:
-        raise ValueError("mu must be >= 0 for this selection")
-    return math.sqrt(2.0 * mu)
+    if a0sq == 0:
+        raise SingularParameterError(
+            f"Set B requires alpha0**2 != 0 (it divides), got alpha0={alpha0!r}")
+    sg = _branch_sign(branch)
+    lam = sg * (a0sq + 2.0 * mu) / (SQRT2 * alpha0)
+    c = sg * (2.0 * k - 3.0 * alpha0 + 6.0 * mu / alpha0) / SQRT2
+    beta_model = -(a0sq - 2.0 * mu) * (-k * alpha0 + a0sq - 2.0 * mu) / a0sq
+    if not all(map(math.isfinite, (lam, c, beta_model))):
+        raise SingularParameterError(
+            f"Set B is not finite at alpha0={alpha0!r}: lambda={lam}, c={c}, beta={beta_model}")
+    return _family_coeffs(sg, alpha0, mu, k, delta, lam=lam, c=c, beta_model=beta_model)
 
 
 FAMILIES = {"A": derive_set_a, "B": derive_set_b}
@@ -190,16 +189,13 @@ class _Forms(NamedTuple):
     G = exp(-lam*xi/2) * A(xi), and each form takes the rate
     q = sqrt(|lam^2 - 4*mu|)/2.  amp gives (A, A', A'')/s on arrays, with
     s = cosh(q*xi) in the hyperbolic row and s = 1 in the others, so all
-    three stay bounded and phi = -lam/2 + A'/A; zeros gives the analytic
-    zeros of A, the poles of phi, covering [xi_lo, xi_hi]; den is amp's A/s
-    at one point through scalar math calls, for the brentq polish (np.tanh
-    and math.tanh may differ in the last ulp, and polished poles must not
-    move); period gives the period of phi, None if aperiodic.
+    three stay bounded and phi = -lam/2 + A'/A; zeros gives the closed-form
+    zeros of A, the poles of phi, covering [xi_lo, xi_hi]; period gives the
+    period of phi, None if aperiodic.
     """
 
     amp: Callable
     zeros: Callable
-    den: Callable
     period: Callable = lambda q: None
 
 
@@ -209,20 +205,17 @@ _CASES = {
         amp=_hyperbolic_amp,
         # tanh(q*xi) = -c2/c1 has a root only when |c2| < |c1|
         zeros=lambda q, c1, c2, xi_lo, xi_hi: (
-            [math.atanh(-c2 / c1) / q] if c1 != 0 and abs(c2) < abs(c1) else []),
-        den=lambda q, c1, c2, xi: c1 * math.tanh(q * xi) + c2),
+            [math.atanh(-c2 / c1) / q] if c1 != 0 and abs(c2) < abs(c1) else [])),
     # A = c1*cos(q*xi) + c2*sin(q*xi), q = sqrt(4*mu - lam^2)/2
     CaseKind.TRIGONOMETRIC: _Forms(
         amp=_trigonometric_amp,
         zeros=_trigonometric_zeros,
-        den=lambda q, c1, c2, xi: c1 * math.cos(q * xi) + c2 * math.sin(q * xi),
         period=lambda q: math.pi / q),
     # A = c1 + c2*xi
     CaseKind.DEGENERATE: _Forms(
         amp=lambda q, c1, c2, xi: (c1 + c2 * xi, np.full_like(xi, float(c2)),
                                    np.zeros_like(xi)),
-        zeros=lambda q, c1, c2, xi_lo, xi_hi: [-c1 / c2] if c2 != 0 else [],
-        den=lambda q, c1, c2, xi: c1 + c2 * xi),
+        zeros=lambda q, c1, c2, xi_lo, xi_hi: [-c1 / c2] if c2 != 0 else []),
 }
 
 
@@ -301,34 +294,15 @@ def eval_uv_masked(spec: SolutionSpec, x, t):
 
 
 def find_singularities_raw(case: CaseKind, lam, mu, c1, c2, xi_lo, xi_hi):
-    """All zeros of the case denominator in [xi_lo, xi_hi], sorted.
+    """All zeros of the case amplitude in [xi_lo, xi_hi], sorted.
 
-    Roots are located analytically and polished by bracketing on the bounded
-    denominator; an empty list is a valid result.  A case that disagrees
-    with lam^2 - 4*mu raises CaseMismatchError.
+    The zeros are the case's closed forms; an empty list is a valid result.
+    A case that disagrees with lam^2 - 4*mu raises CaseMismatchError.
     """
     if xi_lo >= xi_hi:
         raise ValueError("need xi_lo < xi_hi")
     forms, q = _forms(case, lam, mu)
-
-    def den(xi):
-        return forms.den(q, c1, c2, xi)
-
-    scale = abs(c1) + abs(c2)
-    out = []
-    for x0 in forms.zeros(q, c1, c2, xi_lo, xi_hi):
-        if not (xi_lo <= x0 <= xi_hi):
-            continue
-        # polish inside a small bracket when the sign change is resolvable
-        h = max(1e-9, 1e-12 * max(1.0, abs(x0)))
-        a, b = x0 - h, x0 + h
-        if den(a) * den(b) < 0:
-            x0 = brentq(den, a, b, xtol=1e-15, rtol=8.9e-16)
-        if abs(den(x0)) > 1e-10 * scale:  # analytic root must check out
-            continue
-        out.append(x0)
-    # distinct analytic zeros stay distinct: each polish keeps to its own bracket
-    return sorted(out)
+    return sorted(x for x in forms.zeros(q, c1, c2, xi_lo, xi_hi) if xi_lo <= x <= xi_hi)
 
 
 def find_singularities(spec: SolutionSpec, xi_lo, xi_hi):

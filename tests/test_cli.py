@@ -45,6 +45,12 @@ class TestEval:
         err = capsys.readouterr().err
         assert "trigonometric" in err and "hyperbolic" in err
 
+    @pytest.mark.parametrize("alpha0", ["0", "1e-163", "1e-160"])
+    def test_singular_set_b_is_usage_error(self, tmp_path, capsys, alpha0):
+        assert main(["eval", "--family", "B", "--alpha0", alpha0, "--mu", "0.5",
+                     "--k", "1", "--delta", "2", "--out", str(tmp_path)]) == 2
+        assert f"alpha0={float(alpha0)!r}" in capsys.readouterr().err
+
 
 class TestFigure:
     def test_figure1(self, tmp_path):
@@ -170,6 +176,16 @@ class TestSolve:
                      "--alpha0", "0"]) == 0
         out = capsys.readouterr().out
         assert "Set B: not applicable: alpha0=0" in out
+
+    def test_alpha0_squared_underflow_lists_set_a(self, capsys):
+        # alpha0**2 rounds to 0: Set B is left out as at alpha0 = 0
+        assert main(["solve", "--k", "1", "--delta", "2", "--mu", "0.5",
+                     "--alpha0", "1e-163"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("2 admissible root(s)")
+        assert "matches Set A upper" in out and "matches Set A lower" in out
+        assert "Set B: not applicable: alpha0=1e-163" in out
+        assert "warning" not in out
 
     def test_former_no_root_draw(self, capsys):
         # MINPACK from any of the 128 default_init_grid starts reaches no root here

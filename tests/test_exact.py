@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from alleewaves.errors import (CaseMismatchError, PoleError,
                                SingularParameterError)
 from alleewaves.exact import (derive_set_a, derive_set_b, eval_amplitude, eval_phi,
                               eval_uv, find_singularities,
                               find_singularities_raw, make_spec,
-                              phi_derivatives, phi_with_mask,
-                              set_b_reference_alpha0)
+                              phi_derivatives, phi_with_mask)
 from alleewaves.model import CaseKind, discriminant
 from alleewaves.verify import ode_residual
 
@@ -105,6 +105,18 @@ class TestDeriveSetB:
         with pytest.raises(SingularParameterError):
             derive_set_b(0.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("alpha0", [1e-163, -1e-163, 5e-324])
+    def test_alpha0_squared_underflow_is_singular(self, alpha0):
+        # alpha0**2 rounds to 0, so the family divides by zero
+        with pytest.raises(SingularParameterError, match=f"alpha0={alpha0!r}"):
+            derive_set_b(alpha0, 0.5, 1.0, 2.0)
+
+    @pytest.mark.parametrize("alpha0", [1e-160, -1e-160])
+    def test_overflowing_beta_is_singular(self, alpha0):
+        # beta ~ -4*mu^2/alpha0^2 overflows to -inf
+        with pytest.raises(SingularParameterError, match="not finite"):
+            derive_set_b(alpha0, 0.5, 1.0, 2.0, "lower")
+
     def test_discriminant_never_negative(self):
         # family (b) admits no trigonometric regime for real parameters
         rng = np.random.RandomState(6)
@@ -113,11 +125,6 @@ class TestDeriveSetB:
             co = derive_set_b(a0, rng.uniform(-5, 5), rng.uniform(0.1, 5),
                               rng.uniform(0.1, 5), "upper")
             assert discriminant(co.lam, co.mu) >= -1e-12
-
-
-class TestPaperAlpha0Selections:
-    def test_set_b_value(self):
-        assert set_b_reference_alpha0(2.0) == pytest.approx(2.0)
 
 
 def textbook_G(case, lam, mu, c1, c2, xi):
@@ -420,6 +427,39 @@ def test_pole_search_misses_no_zero(draw):
             slope = abs(eval_amplitude(case, lam, mu, c1, c2, x)[1])
             slack = h + 1e-15 * (abs(c1) + abs(c2)) / slope
             assert b.size and np.min(np.abs(b - x)) <= slack, (x, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(draw=amplitude_windows())
+def test_poles_match_a_brentq_oracle(draw):
+    # brentq polishes each sign change of the bounded amplitude in a dense
+    # scan; the closed-form zeros must agree with it in number and to within
+    # its own tolerance (about 4 ulp) plus the rounding of A over |A'|
+    case, lam, mu, c1, c2, lo, hi = draw
+
+    def amp(x):
+        return float(eval_amplitude(case, lam, mu, c1, c2, x)[0])
+
+    def tol(x):
+        slope = abs(eval_amplitude(case, lam, mu, c1, c2, x)[1])
+        return 4 * math.ulp(x) + 1e-15 * (abs(c1) + abs(c2)) / slope
+
+    xi = np.linspace(lo, hi, 20001)
+    A = eval_amplitude(case, lam, mu, c1, c2, xi)[0]
+    nz = np.nonzero(A)[0]
+    i = np.nonzero(np.sign(A[nz[:-1]]) != np.sign(A[nz[1:]]))[0]
+    oracle = [brentq(amp, xi[a], xi[b], xtol=1e-17, rtol=4 * np.finfo(float).eps)
+              for a, b in zip(nz[i], nz[i + 1])]
+    poles = find_singularities_raw(case, lam, mu, c1, c2, lo, hi)
+
+    def interior(xs):
+        # a zero within its tolerance of a window end may round to either side
+        return [x for x in xs if lo + tol(x) < x < hi - tol(x)]
+
+    oracle, poles = interior(oracle), interior(poles)
+    assert len(poles) == len(oracle), (poles, oracle)
+    for p, o in zip(poles, oracle):
+        assert abs(p - o) <= tol(p), (p, o, abs(p - o) / tol(p))
 
 
 def trig_period(spec):

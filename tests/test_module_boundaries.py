@@ -1,7 +1,8 @@
-"""Static check: the simulator imports no package module but ``errors``.
+"""Static checks on what the package modules import.
 
 ``sim.py`` is an independent check of the closed forms in ``exact.py``, so it
 must share no machinery with them, directly or through another module.
+``exact.py`` writes every pole in closed form and needs no SciPy solver.
 """
 
 import ast
@@ -36,8 +37,29 @@ def package_imports(source):
     return sorted(found)
 
 
+def top_level_imports(source):
+    """Top-level names of the absolute imports in source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found)
+
+
 def test_sim_imports_only_errors():
     assert package_imports((PACKAGE / "sim.py").read_text()) == ["errors"]
+
+
+def test_exact_imports_no_scipy():
+    assert "scipy" not in top_level_imports((PACKAGE / "exact.py").read_text())
+
+
+def test_top_level_imports_sees_every_form():
+    src = ("import scipy.optimize\nfrom scipy import linalg\nimport numpy as np\n"
+           "from .errors import E\nfrom . import model\n")
+    assert top_level_imports(src) == ["numpy", "scipy"]
 
 
 def test_detects_every_import_form():
