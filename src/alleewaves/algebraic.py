@@ -141,14 +141,30 @@ def _branch(a1, b1, k, d, mu, a0):
 
 
 def _candidates(k, d, mu, a0):
-    """Every point (a1, b1, b0, L, c, B) with a1, b1 != 0 near which all eight rows vanish."""
+    """Every point (a1, b1, b0, L, c, B) with a1, b1 != 0 near which all eight rows vanish.
+
+    Raises SingularParameterError, before any branch is searched, when the
+    rows' coefficients in L or their scale max(1, |y at the nodes|)^3 overflow.
+    """
+    branches = []
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a1, b1 in itertools.product((math.sqrt(2.0), -math.sqrt(2.0)),
+                                            (math.sqrt(2.0 / d), -math.sqrt(2.0 / d))):
+                at = _branch(a1, b1, k, d, mu, a0)
+                ys = at(_NODES)
+                branches.append((a1, b1, at, _FROM_NODES @ _fun(ys, k, d, mu, a0)[:, [3, 6, 7]],
+                                 max(1.0, np.max(np.abs(ys))) ** 3))
+        finite = all(np.isfinite(coeffs).all() and np.isfinite(scale)
+                     for *_, coeffs, scale in branches)
+    except OverflowError:  # Python's float ** raises where NumPy's returns inf
+        finite = False
+    if not finite:
+        raise SingularParameterError(f"the coefficient rows overflow at k={k!r}, delta={d!r},"
+                                     f" mu={mu!r}, alpha0={a0!r}")
     out = []
-    for a1, b1 in itertools.product((math.sqrt(2.0), -math.sqrt(2.0)),
-                                    (math.sqrt(2.0 / d), -math.sqrt(2.0 / d))):
-        at = _branch(a1, b1, k, d, mu, a0)
-        ys = at(_NODES)
-        coeffs = _FROM_NODES @ _fun(ys, k, d, mu, a0)[:, [3, 6, 7]]
-        if np.all(np.abs(coeffs) <= _NOISE * max(1.0, np.max(np.abs(ys))) ** 3):
+    for a1, b1, at, coeffs, scale in branches:
+        if np.all(np.abs(coeffs) <= _NOISE * scale):
             raise NonIsolatedRootsError(a1, b1)
         # leading coefficients at rounding level next to the largest would put roots near infinity
         lead = np.argmax(np.abs(coeffs) > _NOISE * np.max(np.abs(coeffs), axis=0), axis=0)

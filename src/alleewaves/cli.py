@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebraic import closed_form_targets, deviation, match_root, solve_families
 from .errors import (AlleeWavesError, BlowUpError, PoleError, StabilityError,
                      TrackingError)
 from .exact import FAMILIES, eval_uv_masked, find_singularities, make_spec
@@ -351,6 +350,8 @@ def cmd_simulate(par, out) -> int:
 
 
 def cmd_solve(par, _out) -> int:
+    # only solve needs the root search, and its SciPy import is most of a cold start
+    from .algebraic import closed_form_targets, deviation, match_root, solve_families
     roots = solve_families(par["k"], par["delta"], par["mu"], par["alpha0"])
     targets = closed_form_targets(par["k"], par["delta"], par["mu"], par["alpha0"])
     fields = ("alpha1", "beta1", "beta0", "lambda", "c", "beta")

@@ -253,11 +253,18 @@ def phi_with_mask(case: CaseKind, lam, mu, c1, c2, xi):
 
 
 def eval_phi(case: CaseKind, lam, mu, c1, c2, xi):
-    """phi = G'/G; raises PoleError if any sample hits the pole floor."""
+    """phi = G'/G; raises PoleError if any sample hits the pole floor.
+
+    The error names the zero of A nearest to the first such sample, wherever
+    it lies: within one period when A is periodic, else on the whole line,
+    where A has at most one zero.
+    """
     phi, ok = phi_with_mask(case, lam, mu, c1, c2, xi)
     if not np.all(ok):
         bad = float(np.atleast_1d(np.asarray(xi, float))[~np.atleast_1d(ok)][0])
-        poles = find_singularities_raw(case, lam, mu, c1, c2, bad - 1.0, bad + 1.0)
+        forms, q = _forms(case, lam, mu)
+        reach = forms.period(q) or math.inf
+        poles = find_singularities_raw(case, lam, mu, c1, c2, bad - reach, bad + reach)
         nearest = min(poles, key=lambda p: abs(p - bad)) if poles else None
         raise PoleError(bad, nearest)
     if np.ndim(xi) == 0:

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlleeWavesError, PoleError
-from .exact import (CaseKind, SolutionSpec, eval_amplitude, eval_uv,
-                    find_singularities, phi_derivatives)
+from .exact import (SolutionSpec, eval_amplitude, eval_uv, find_singularities,
+                    phi_derivatives)
+from .model import CaseKind
 
 MIN_EXCLUSION_RADIUS = 1e-3
 
@@ -80,10 +81,17 @@ def _ode_rows(spec: SolutionSpec, u, up, upp, v, vp, vpp):
     return r1, r2
 
 
+def _check_window(name, lo, hi):
+    """ValueError naming the window unless both ends are finite and lo < hi."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"{name} must have finite ends in increasing order, got ({lo}, {hi})")
+
+
 def ode_residual(spec: SolutionSpec, xi_lo, xi_hi, n_samples=2001) -> ResidualReport:
     """Residuals of the traveling-wave ODE system on a pole-excluded grid."""
     if n_samples < 16:
         raise ValueError("need n_samples >= 16")
+    _check_window("(xi_lo, xi_hi)", xi_lo, xi_hi)
     xi = np.linspace(xi_lo, xi_hi, n_samples)
     h = (xi_hi - xi_lo) / (n_samples - 1)
     radius = max(10.0 * h, MIN_EXCLUSION_RADIUS)
@@ -137,6 +145,8 @@ def pde_residual(spec: SolutionSpec, x_window, t_window, nx=401, nt=101) -> Resi
         raise ValueError("need nx, nt >= 8")
     x0, x1 = x_window
     t0, t1 = t_window
+    _check_window("x_window", x0, x1)
+    _check_window("t_window", t0, t1)
     co = spec.coeffs
     # the window covers exactly xi in [lo, hi], so a pole line x = xi* + c*t
     # meets it iff xi* lies there

@@ -13,7 +13,8 @@ from alleewaves.algebraic import (DEDUP_TOL, RESIDUAL_TOL, _fun, _jac,
                                   closed_form_targets, coeff_residuals,
                                   default_init_grid, match_root,
                                   solve_families)
-from alleewaves.errors import NoConvergenceError, NonIsolatedRootsError
+from alleewaves.errors import (NoConvergenceError, NonIsolatedRootsError,
+                               SingularParameterError)
 from alleewaves.exact import ExpansionCoeffs, derive_set_a, derive_set_b
 
 EPS = np.finfo(float).eps
@@ -24,6 +25,11 @@ TINY = np.finfo(float).tiny
 # (0.5, 5)); all four closed forms are roots
 NO_ROOT = dict(k=7.92716605802171, delta=4.425510927931301,
                mu=1.2872475159527776, alpha0=1.5249218747823625)
+
+# one input each, changed from (k, delta, mu, alpha0) = (1, 2, 0.5, 0.7), whose
+# rows overflow: Python's float ** on alpha0 and on b1 = sqrt(2/delta), and
+# the scale max(1, |y|)^3 on c (from k) and on beta (from mu)
+OVERFLOWING = [("alpha0", 1e110), ("delta", 1e-300), ("k", 1e200), ("mu", 1e300)]
 
 
 def reference_solve_families(k, delta, mu, alpha0, init_grid=None):
@@ -181,6 +187,14 @@ class TestSolveFamilies:
         par = dict(k=1.0, delta=1.0, mu=0.5, alpha0=1.0) | {name: value}
         with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
             solve_families(**par)
+
+    @pytest.mark.parametrize("name, value", OVERFLOWING)
+    def test_overflowing_rows_are_singular(self, name, value):
+        par = dict(k=1.0, delta=2.0, mu=0.5, alpha0=0.7) | {name: value}
+        with pytest.raises(SingularParameterError) as exc:
+            solve_families(**par)
+        assert str(exc.value) == "the coefficient rows overflow at " + \
+            ", ".join(f"{n}={v!r}" for n, v in par.items())
 
     def test_bad_grid(self):
         # a start of init_grid is one extra point to polish: six unknowns

@@ -157,9 +157,31 @@ class TestSimulate:
         hdr, _ = read_csv(sorted(out.glob("snapshot_*.csv"))[-1])
         assert float(hdr["t"]) == pytest.approx(0.1)  # flag beat the file
 
+    def test_flat_seed_has_no_front(self, tmp_path):
+        # mu = 1.53125 makes Set A degenerate, and c2 = 0 makes phi constant
+        args = list(SIM_BASE)
+        for flag, value in (("--mu", "1.53125"), ("--c1", "1"), ("--c2", "0")):
+            args[args.index(flag) + 1] = value
+        assert main(["simulate", *args, "--dt", "0.004", "--t-end", "0.1",
+                     "--measure-speed", "--out", str(tmp_path)]) == 0
+        report = (tmp_path / "speed_report.txt").read_text().splitlines()
+        assert report[1:] == ["measured_speed=no front"]
+
+    def test_front_leaving_the_domain_has_no_speed(self, tmp_path):
+        # c = -4.17: the front leaves x in [-10, 10] before t = 2.4
+        assert main(["simulate", *SIM_BASE, "--dt", "0.004", "--t-end", "4",
+                     "--snapshot-every", "100", "--measure-speed",
+                     "--out", str(tmp_path)]) == 0
+        report = (tmp_path / "speed_report.txt").read_text().splitlines()
+        assert report[1:] == ["measured_speed=no front (snapshot 6 (t=2.4): level not crossed)"]
+
     def test_missing_parameters(self, tmp_path, capsys):
         assert main(["simulate", "--family", "A", "--out", str(tmp_path)]) == 2
         assert "missing" in capsys.readouterr().err
+
+
+# solve inputs, changed from --k 1 --delta 2 --mu 0.5 --alpha0 0.7, whose coefficient rows overflow
+OVERFLOWING = [("alpha0", 1e110), ("delta", 1e-300), ("k", 1e200), ("mu", 1e300)]
 
 
 class TestSolve:
@@ -195,6 +217,22 @@ class TestSolve:
         assert out.startswith("4 admissible root(s)")
         assert out.count("  root: ") == 4
         assert "not recovered" not in out
+
+    def test_zero_tolerance_matches_nothing(self, capsys):
+        assert main(["solve", "--k", "5.9", "--delta", "3", "--mu", "0.2",
+                     "--alpha0", "1.2", "--tol", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("(no closed-form match; extra root)") == out.count("  root: ") == 4
+        for name in ("Set A upper", "Set A lower", "Set B upper", "Set B lower"):
+            assert f"  warning: closed form {name} not recovered" in out
+
+    @pytest.mark.parametrize("name, value", OVERFLOWING)
+    def test_overflowing_rows_are_usage_error(self, capsys, name, value):
+        par = dict(k=1.0, delta=2.0, mu=0.5, alpha0=0.7) | {name: value}
+        assert main(["solve", *(f"--{n}={v!r}" for n, v in par.items())]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the coefficient rows overflow at ")
+        assert f"{name}={value!r}" in err
 
     def test_non_isolated_roots_exit_3(self, capsys):
         assert main(["solve", "--k", "1", "--delta", "1", "--mu", "0", "--alpha0", "0"]) == 3

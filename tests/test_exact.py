@@ -224,6 +224,18 @@ class TestEvalPhi:
         with pytest.raises(PoleError):
             eval_phi(CaseKind.DEGENERATE, 2.0, 1.0, 1.0, 1.0, -1.0)
 
+    @pytest.mark.parametrize("case, lam, mu, c1, c2, xi, pole", [
+        # A = 1 + 1e-8*xi stays below the floor for 100 either side of its zero
+        (CaseKind.DEGENERATE, 2.0, 1.0, 1.0, 1e-8, -1e8 + 50, -1e8),
+        # A = cos(1e-4*xi): the nearest of the zeros within one period of 31416
+        (CaseKind.TRIGONOMETRIC, 0.0, 1e-8, 1.0, 0.0, 15707.97, 0.5e4 * math.pi),
+    ])
+    def test_pole_error_names_the_nearest_zero(self, case, lam, mu, c1, c2, xi, pole):
+        with pytest.raises(PoleError) as exc:
+            eval_phi(case, lam, mu, c1, c2, xi)
+        assert exc.value.xi == xi
+        assert exc.value.xi_pole == pytest.approx(pole, rel=1e-15)
+
     def test_matches_G_quotient(self):
         rng = np.random.RandomState(12)
         for _ in range(50):

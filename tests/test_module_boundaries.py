@@ -1,12 +1,19 @@
-"""Static checks on what the package modules import.
+"""Checks on what the package modules import, in the source and at run time.
 
 ``sim.py`` is an independent check of the closed forms in ``exact.py``, so it
 must share no machinery with them, directly or through another module.
 ``exact.py`` writes every pole in closed form and needs no SciPy solver.
+Only the root search in ``algebraic.py`` needs SciPy, so importing any other
+module, the CLI included, must not load it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "alleewaves"
 
@@ -14,8 +21,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "alleewaves"
 def package_imports(source):
     """Names of the alleewaves modules that source imports.
 
-    A bare ``import alleewaves`` counts as ``__init__``, which loads every
-    module.
+    A bare ``import alleewaves`` counts as ``__init__``, the package itself.
     """
     found = set()
     for node in ast.walk(ast.parse(source)):
@@ -54,6 +60,26 @@ def test_sim_imports_only_errors():
 
 def test_exact_imports_no_scipy():
     assert "scipy" not in top_level_imports((PACKAGE / "exact.py").read_text())
+
+
+def loaded_modules(module):
+    """The names in sys.modules after a fresh interpreter imports module."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", f"import sys, {module}; print(*sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    return run.stdout.split()
+
+
+@pytest.mark.parametrize("module", ["cli", "exact", "verify", "sim", "output"])
+def test_import_loads_no_scipy(module):
+    assert [m for m in loaded_modules(f"alleewaves.{module}") if m.split(".")[0] == "scipy"] == []
+
+
+def test_sim_loads_only_errors():
+    # the run-time counterpart of test_sim_imports_only_errors
+    assert sorted(m for m in loaded_modules("alleewaves.sim") if m.split(".")[0] == "alleewaves") \
+        == ["alleewaves", "alleewaves.errors", "alleewaves.sim"]
 
 
 def test_top_level_imports_sees_every_form():

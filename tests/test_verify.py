@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -75,6 +76,13 @@ class TestOdeResidual:
         with pytest.raises(ValueError):
             ode_residual(fig1_spec(), -5.0, 5.0, 8)
 
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 5.0), (0.0, math.nan),
+                                        (0.0, math.inf), (5.0, -5.0), (5.0, 5.0)])
+    def test_window_ends_finite_and_increasing(self, lo, hi):
+        with pytest.raises(ValueError, match=re.escape(f"(xi_lo, xi_hi) must have finite"
+                                                       f" ends in increasing order, got ({lo}, {hi})")):
+            ode_residual(fig1_spec(), lo, hi, 101)
+
 
 class TestPdeResidual:
     def test_figure1_truncation_level(self):
@@ -112,6 +120,16 @@ class TestPdeResidual:
     def test_minimum_resolution(self):
         with pytest.raises(ValueError):
             pde_residual(fig1_spec(), (1.0, 5.0), (0.0, 0.2), 4, 33)
+
+    @pytest.mark.parametrize("name, window", [
+        ("t_window", (0.1, 0.0)), ("t_window", (0.0, math.nan)), ("t_window", (0.0, math.inf)),
+        ("x_window", (math.nan, 5.0)), ("x_window", (-math.inf, 5.0)), ("x_window", (5.0, 1.0)),
+    ])
+    def test_window_ends_finite_and_increasing(self, name, window):
+        windows = {"x_window": (1.0, 5.0), "t_window": (0.0, 0.2)} | {name: window}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must have finite ends in"
+                                                       f" increasing order, got {window}")):
+            pde_residual(fig1_spec(), windows["x_window"], windows["t_window"], 16, 16)
 
 
 class TestCheckGOde:
