@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -94,7 +94,7 @@ def _rows(a1, a0, b1, b0, L, mu, c, B, k, d):
 
 def coeff_residuals(coeffs: ExpansionCoeffs) -> CoeffResiduals:
     """Evaluate all eight rows at the given coefficients."""
-    vals = coeffs.as_tuple()
+    vals = astuple(coeffs)
     if not all(math.isfinite(v) for v in vals):
         raise ValueError("all coefficient fields must be finite")
     a1, a0, b1, b0, L, mu, c, B, k, d = vals

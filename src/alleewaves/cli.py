@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import (AlleeWavesError, BlowUpError, PoleError, StabilityError,
                      TrackingError)
-from .exact import FAMILIES, eval_uv_masked, find_singularities, make_spec
+from .exact import FAMILIES, eval_uv_masked, find_singularities, make_spec, nearest_pole
 from .model import CaseKind
 from .output import FLOAT_FMT, write_csv, write_svg
 from .sim import GridField, SimConfig, measure_wave_speed, simulate
@@ -199,17 +199,20 @@ def _sample_profile(spec, x, t):
     """(u, v, mask, pole header) of the profile sampled at (x, t).
 
     Besides the pole floor of eval_uv_masked, samples within one grid
-    spacing of a pole are masked.  The header lists the poles whose xi lies
-    in the sampled window, with their x at time t.
+    spacing of a pole are masked, so a period of at most two spacings is a
+    ValueError.  The header lists the poles whose xi lies in the sampled
+    window, with their x at time t.
     """
+    spacing = float(x[1] - x[0]) if len(x) > 1 else 1.0
+    if spec.period is not None and spec.period <= 2.0 * spacing:
+        raise ValueError(f"the period {spec.period:.6g} is at most two sample spacings"
+                         f" ({spacing:.6g}), so every sample would be masked")
     u, v, ok = eval_uv_masked(spec, x, t)
     c = spec.coeffs.c
     xi = x - c * t
-    spacing = float(x[1] - x[0]) if len(x) > 1 else 1.0
+    ok = ok & ~(np.abs(xi - nearest_pole(spec, xi)) <= spacing)  # NaN: no pole
     lo, hi = float(xi.min()), float(xi.max())
-    poles = find_singularities(spec, lo - spacing, hi + spacing)
-    for p in poles:
-        ok = ok & (np.abs(xi - p) > spacing)
+    poles = find_singularities(spec, lo - spacing, hi + spacing)  # lo = hi at one sample
     hdr = {}
     for i, p in enumerate([p for p in poles if lo <= p <= hi], 1):
         hdr[f"pole_{i}_xi"] = p
@@ -308,9 +311,9 @@ def cmd_simulate(par, out) -> int:
     spec = _make_spec_from(par)
     co = spec.coeffs
     x = np.arange(par["x_min"], par["x_max"] + 0.5 * par["dx"], par["dx"])
-    poles = find_singularities(spec, float(x.min()), float(x.max()))
-    if poles:
-        raise ValueError(f"seed profile has a pole at xi={poles[0]:.6g} inside"
+    p = float(nearest_pole(spec, 0.5 * (x[0] + x[-1])))
+    if x[0] <= p <= x[-1]:
+        raise ValueError(f"seed profile has a pole at xi={p:.6g} inside"
                          " the domain; choose |c2|>|c1| with matching signs")
     u0, v0 = np.asarray(eval_uv_masked(spec, x, 0.0)[:2])
     field = GridField(x0=float(x[0]), dx=par["dx"], u=u0, v=v0, t=0.0)

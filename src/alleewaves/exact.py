@@ -69,12 +69,6 @@ class ExpansionCoeffs:
     k: float
     delta: float
 
-    def as_tuple(self):
-        return (
-            self.alpha1, self.alpha0, self.beta1, self.beta0,
-            self.lam, self.mu, self.c, self.beta_model, self.k, self.delta,
-        )
-
 
 def _family_coeffs(sg, alpha0, mu, k, delta, lam, c, beta_model) -> ExpansionCoeffs:
     """Complete a family's (lam, c, beta) with the coefficients both families share."""
@@ -164,9 +158,16 @@ def make_spec(family, alpha0, mu, k, delta, branch="upper", c1=1.0, c2=0.0) -> S
 
 
 def _hyperbolic_amp(q, c1, c2, xi):
-    T = np.tanh(q * xi)  # the row is divided by cosh(q*xi), bounded where cosh overflows
-    A = c1 * T + c2
-    return A, q * (c1 + c2 * T), q * q * A
+    # A = (P*e^(q*xi) + M*e^(-q*xi))/2, so A/s = h + d*tanh(q*xi - theta) with
+    # e^(2*theta) = |M/P|: constant unless sign P != sign M, when A has a zero
+    P, M = c1 + c2, c2 - c1
+    with np.errstate(divide="ignore"):
+        theta = 0.5 * (np.log(abs(M)) - np.log(abs(P)))  # +-inf when |c1| = |c2|
+    w = 0.5 * (abs(c1) + abs(c2))
+    h, d = w * (np.sign(P) + np.sign(M)), w * (np.sign(P) - np.sign(M))
+    T = np.tanh(q * xi - theta)
+    A = h + d * T
+    return A, q * (d + h * T), q * q * A
 
 
 def _trigonometric_amp(q, c1, c2, xi):
@@ -175,27 +176,21 @@ def _trigonometric_amp(q, c1, c2, xi):
     return A, q * (-c1 * s + c2 * co), -q * q * A
 
 
-def _trigonometric_zeros(q, c1, c2, xi_lo, xi_hi):
-    # A = R*cos(q*xi - p0) vanishes at q*xi = p0 + pi/2 + n*pi
-    p0 = math.atan2(c2, c1)
-    n_lo = math.floor((q * xi_lo - p0 - 0.5 * math.pi) / math.pi) - 1
-    n_hi = math.ceil((q * xi_hi - p0 - 0.5 * math.pi) / math.pi) + 1
-    return [(p0 + 0.5 * math.pi + n * math.pi) / q for n in range(n_lo, n_hi + 1)]
-
-
 class _Forms(NamedTuple):
     """The closed forms of one regime of G'' + lam*G' + mu*G = 0.
 
     G = exp(-lam*xi/2) * A(xi), and each form takes the rate
-    q = sqrt(|lam^2 - 4*mu|)/2.  amp gives (A, A', A'')/s on arrays, with
-    s = cosh(q*xi) in the hyperbolic row and s = 1 in the others, so all
-    three stay bounded and phi = -lam/2 + A'/A; zeros gives the closed-form
-    zeros of A, the poles of phi, covering [xi_lo, xi_hi]; period gives the
-    period of phi, None if aperiodic.
+    q = sqrt(|lam^2 - 4*mu|)/2.  amp gives (A, A', A'')/s on arrays, with a
+    positive scale s in the hyperbolic row and s = 1 in the others, so all
+    three stay bounded and phi = -lam/2 + A'/A.  The zeros of A, the poles of
+    phi, are numbered in increasing order: zero(q, c1, c2, n) gives the n-th,
+    NaN where A has none, and index(q, c1, c2, xi) the real n at xi, 0 where
+    A has at most one zero.  period gives the period of phi, None if aperiodic.
     """
 
     amp: Callable
-    zeros: Callable
+    zero: Callable
+    index: Callable = lambda q, c1, c2, xi: 0
     period: Callable = lambda q: None
 
 
@@ -204,18 +199,20 @@ _CASES = {
     CaseKind.HYPERBOLIC: _Forms(
         amp=_hyperbolic_amp,
         # tanh(q*xi) = -c2/c1 has a root only when |c2| < |c1|
-        zeros=lambda q, c1, c2, xi_lo, xi_hi: (
-            [math.atanh(-c2 / c1) / q] if c1 != 0 and abs(c2) < abs(c1) else [])),
+        zero=lambda q, c1, c2, n: (
+            math.atanh(-c2 / c1) / q if c1 != 0 and abs(c2) < abs(c1) else math.nan)),
     # A = c1*cos(q*xi) + c2*sin(q*xi), q = sqrt(4*mu - lam^2)/2
     CaseKind.TRIGONOMETRIC: _Forms(
         amp=_trigonometric_amp,
-        zeros=_trigonometric_zeros,
+        # A = R*cos(q*xi - p0), p0 = atan2(c2, c1), vanishes at q*xi = p0 + pi/2 + n*pi
+        zero=lambda q, c1, c2, n: (math.atan2(c2, c1) + 0.5 * math.pi + n * math.pi) / q,
+        index=lambda q, c1, c2, xi: (q * xi - math.atan2(c2, c1) - 0.5 * math.pi) / math.pi,
         period=lambda q: math.pi / q),
     # A = c1 + c2*xi
     CaseKind.DEGENERATE: _Forms(
         amp=lambda q, c1, c2, xi: (c1 + c2 * xi, np.full_like(xi, float(c2)),
                                    np.zeros_like(xi)),
-        zeros=lambda q, c1, c2, xi_lo, xi_hi: [-c1 / c2] if c2 != 0 else []),
+        zero=lambda q, c1, c2, n: -c1 / c2 if c2 != 0 else math.nan),
 }
 
 
@@ -228,7 +225,9 @@ def _forms(case: CaseKind, lam, mu):
 def eval_amplitude(case: CaseKind, lam, mu, c1, c2, xi):
     """The bounded amplitude (A, A', A'')/s of G = exp(-lam*xi/2) * A at xi.
 
-    Hyperbolic:     A = c1*sinh(q*xi) + c2*cosh(q*xi),  s = cosh(q*xi)
+    Hyperbolic:     A = c1*sinh(q*xi) + c2*cosh(q*xi),
+                    s = (|P|*e^(q*xi) + |M|*e^(-q*xi)) / (2*(|c1| + |c2|)),
+                    P = c1 + c2, M = c2 - c1
     Trigonometric:  A = c1*cos(q*xi) + c2*sin(q*xi),    s = 1
     Degenerate:     A = c1 + c2*xi,                     s = 1
 
@@ -252,21 +251,20 @@ def phi_with_mask(case: CaseKind, lam, mu, c1, c2, xi):
     return phi, ok
 
 
+def _nearest(case: CaseKind, lam, mu, c1, c2, xi):
+    forms, q = _forms(case, lam, mu)
+    return forms.zero(q, c1, c2, np.rint(forms.index(q, c1, c2, xi)))
+
+
 def eval_phi(case: CaseKind, lam, mu, c1, c2, xi):
     """phi = G'/G; raises PoleError if any sample hits the pole floor.
 
-    The error names the zero of A nearest to the first such sample, wherever
-    it lies: within one period when A is periodic, else on the whole line,
-    where A has at most one zero.
+    The error names the zero of A nearest to the first such sample.
     """
     phi, ok = phi_with_mask(case, lam, mu, c1, c2, xi)
     if not np.all(ok):
         bad = float(np.atleast_1d(np.asarray(xi, float))[~np.atleast_1d(ok)][0])
-        forms, q = _forms(case, lam, mu)
-        reach = forms.period(q) or math.inf
-        poles = find_singularities_raw(case, lam, mu, c1, c2, bad - reach, bad + reach)
-        nearest = min(poles, key=lambda p: abs(p - bad)) if poles else None
-        raise PoleError(bad, nearest)
+        raise PoleError(bad, float(_nearest(case, lam, mu, c1, c2, bad)))
     if np.ndim(xi) == 0:
         return float(phi)
     return phi
@@ -309,7 +307,9 @@ def find_singularities_raw(case: CaseKind, lam, mu, c1, c2, xi_lo, xi_hi):
     if xi_lo >= xi_hi:
         raise ValueError("need xi_lo < xi_hi")
     forms, q = _forms(case, lam, mu)
-    return sorted(x for x in forms.zeros(q, c1, c2, xi_lo, xi_hi) if xi_lo <= x <= xi_hi)
+    ns = range(math.floor(forms.index(q, c1, c2, xi_lo)),
+               math.ceil(forms.index(q, c1, c2, xi_hi)) + 1)
+    return [x for x in (forms.zero(q, c1, c2, n) for n in ns) if xi_lo <= x <= xi_hi]
 
 
 def find_singularities(spec: SolutionSpec, xi_lo, xi_hi):
@@ -317,3 +317,9 @@ def find_singularities(spec: SolutionSpec, xi_lo, xi_hi):
     co = spec.coeffs
     return find_singularities_raw(spec.case, co.lam, co.mu, spec.c1, spec.c2,
                                   xi_lo, xi_hi)
+
+
+def nearest_pole(spec: SolutionSpec, xi):
+    """The pole of the solution profile nearest to each xi; NaN where it has none."""
+    co = spec.coeffs
+    return _nearest(spec.case, co.lam, co.mu, spec.c1, spec.c2, xi)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-DEFAULT_EPS_DISC = 1e-9
+EPS_DISC = 1e-9
 
 
 class CaseKind(Enum):
@@ -36,14 +36,12 @@ def discriminant(lam: float, mu: float) -> float:
     return disc
 
 
-def classify_case(lam: float, mu: float, eps_disc: float = DEFAULT_EPS_DISC) -> CaseKind:
+def classify_case(lam: float, mu: float) -> CaseKind:
     """Classify (lambda, mu) into the three oscillator regimes.
 
-    Degenerate wins ties: |lambda^2 - 4*mu| <= eps_disc.
+    Degenerate wins ties: |lambda^2 - 4*mu| <= EPS_DISC.
     """
-    if eps_disc < 0:
-        raise ValueError("eps_disc must be >= 0")
     disc = discriminant(lam, mu)
-    if abs(disc) <= eps_disc:
+    if abs(disc) <= EPS_DISC:
         return CaseKind.DEGENERATE
     return CaseKind.HYPERBOLIC if disc > 0 else CaseKind.TRIGONOMETRIC

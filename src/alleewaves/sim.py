@@ -255,17 +255,14 @@ def _crossing_position(x, f, level):
     return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
-def measure_wave_speed(snapshots, level, component="u") -> float:
-    """Least-squares slope of the tracked level-crossing position vs time."""
-    if component not in ("u", "v"):
-        raise ValueError("component must be 'u' or 'v'")
+def measure_wave_speed(snapshots, level) -> float:
+    """Least-squares slope of the tracked prey level-crossing position vs time."""
     if len(snapshots) < 2:
         raise ValueError("need at least two snapshots")
     ts, xs = [], []
     for i, f in enumerate(snapshots):
-        vals = f.u if component == "u" else f.v
         try:
-            pos = _crossing_position(f.x, vals, level)
+            pos = _crossing_position(f.x, f.u, level)
         except TrackingError as exc:
             raise TrackingError(f"snapshot {i} (t={f.t:.6g}): {exc}") from None
         ts.append(f.t)

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlleeWavesError, PoleError
-from .exact import (SolutionSpec, eval_amplitude, eval_uv, find_singularities,
-                    phi_derivatives)
+from .exact import SolutionSpec, eval_amplitude, eval_uv, nearest_pole, phi_derivatives
 from .model import CaseKind
 
 MIN_EXCLUSION_RADIUS = 1e-3
@@ -95,10 +94,7 @@ def ode_residual(spec: SolutionSpec, xi_lo, xi_hi, n_samples=2001) -> ResidualRe
     xi = np.linspace(xi_lo, xi_hi, n_samples)
     h = (xi_hi - xi_lo) / (n_samples - 1)
     radius = max(10.0 * h, MIN_EXCLUSION_RADIUS)
-    poles = find_singularities(spec, xi_lo - radius, xi_hi + radius)
-    keep = np.ones(n_samples, dtype=bool)
-    for p in poles:
-        keep &= np.abs(xi - p) > radius
+    keep = ~(np.abs(xi - nearest_pole(spec, xi)) <= radius)  # NaN: no pole
     if not keep.any():
         raise AlleeWavesError("entire interval lies in pole-exclusion zones")
     xs = xi[keep]
@@ -149,12 +145,11 @@ def pde_residual(spec: SolutionSpec, x_window, t_window, nx=401, nt=101) -> Resi
     _check_window("t_window", t0, t1)
     co = spec.coeffs
     # the window covers exactly xi in [lo, hi], so a pole line x = xi* + c*t
-    # meets it iff xi* lies there
+    # meets it iff xi* lies there, and then so does the pole nearest the middle
     lo = min(x0 - co.c * t0, x0 - co.c * t1)
     hi = max(x1 - co.c * t0, x1 - co.c * t1)
-    poles = find_singularities(spec, lo, hi)
-    if poles:
-        p = poles[0]
+    p = float(nearest_pole(spec, 0.5 * (lo + hi)))
+    if lo <= p <= hi:
         raise PoleError(min(max(p + co.c * t0, x0), x1), p)
 
     x = np.linspace(x0, x1, nx)

@@ -1,11 +1,13 @@
-"""The package names the benchmark tracer binds (bench/tracing.py) must exist,
-and the argv the workloads (bench/workloads.py) send to the CLI must pass it.
+"""The package names the benchmark tracer binds (bench/tracing.py) and the
+attributes the workloads and the runner (bench/workloads.py, bench/run.py)
+read must exist, and the argv the workloads send to the CLI must pass it.
 
 The tracer wraps names at run time and the workloads build argv at run
 time, so a refactor that breaks either would otherwise only show in a
 benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -44,6 +46,29 @@ def test_counted_names_exist():
     from alleewaves import algebraic, sim
     assert callable(sim.step)
     assert algebraic.least_squares is scipy.optimize.least_squares
+
+
+def _bench_attribute_reads():
+    """(module, name) of each package attribute the workloads and the runner read."""
+    mods = {"algebraic", "cli", "exact", "output", "verify"}
+    reads = set()
+    for name in ("workloads", "run"):
+        for node in ast.walk(ast.parse((BENCH / f"{name}.py").read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in mods):
+                reads.add((node.value.id, node.attr))
+    return sorted(reads)
+
+
+@pytest.mark.parametrize("mod_name, attr", _bench_attribute_reads(), ids=lambda v: v)
+def test_bench_attribute_exists(mod_name, attr):
+    # a name missing here would fail every benchmark operation that reads it
+    assert hasattr(importlib.import_module(f"alleewaves.{mod_name}"), attr)
+
+
+def test_solve_families_takes_the_bench_start_grid():
+    from alleewaves.algebraic import solve_families
+    assert "init_grid" in inspect.signature(solve_families).parameters
 
 
 def test_simulate_takes_initial_first():

@@ -1,4 +1,9 @@
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +43,11 @@ class TestEval:
         assert len(flagged) > 0
         x_flagged = cols["x"][flagged]
         assert np.all(np.abs(x_flagged - (-0.476085)) < 0.05)
+
+    def test_single_sample(self, tmp_path):
+        assert main(["eval", *FIG1, "--n", "1", "--out", str(tmp_path)]) == 0
+        _, cols = read_csv(tmp_path / "eval.csv")
+        assert len(cols["x"]) == 1 and np.isfinite(cols["u"]).all()
 
     def test_case_mismatch_is_usage_error(self, tmp_path, capsys):
         assert main(["eval", *FIG1, "--case", "trigonometric",
@@ -178,6 +188,46 @@ class TestSimulate:
     def test_missing_parameters(self, tmp_path, capsys):
         assert main(["simulate", "--family", "A", "--out", str(tmp_path)]) == 2
         assert "missing" in capsys.readouterr().err
+
+    def test_single_exponential_seed_is_pole_free(self, tmp_path):
+        # c1 = c2 makes G one exponential: phi is constant and finite on the
+        # whole line, far tails included
+        args = list(SIM_BASE)
+        args[args.index("--c1") + 1] = "1"
+        args[args.index("--c2") + 1] = "1"
+        args[args.index("--x-min") + 1] = "-40"
+        args[args.index("--x-max") + 1] = "40"
+        assert main(["simulate", *args, "--dt", "0.004", "--t-end", "0.1",
+                     "--measure-speed", "--out", str(tmp_path)]) == 0
+        report = (tmp_path / "speed_report.txt").read_text().splitlines()
+        assert report[1:] == ["measured_speed=no front"]
+
+
+def _limited_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# a mu this large makes Set A trigonometric with a pole every pi/sqrt(mu)
+@pytest.mark.parametrize("mu", ["1e12", "1e300"])
+@pytest.mark.parametrize("argv, code, message", [
+    (["eval"], 2, "every sample would be masked"),
+    (["verify"], 3, "pole-exclusion zones"),
+    (["simulate", "--x-min", "-10", "--x-max", "10", "--dx", "0.1", "--dt", "0.004",
+      "--t-end", "0.1"], 2, "seed profile has a pole"),
+], ids=["eval", "verify", "simulate"])
+def test_pole_dense_profile_fails_fast_with_one_line(tmp_path, mu, argv, code, message):
+    # run apart, under a 1 GB address-space limit and a timeout, so that a
+    # search whose cost grows with the number of poles fails without
+    # exhausting the machine
+    args = list(FIG1)
+    args[args.index("--mu") + 1] = mu
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    res = subprocess.run([sys.executable, "-m", "alleewaves.cli", *argv, *args,
+                          "--out", str(tmp_path)], capture_output=True, text=True,
+                         env=env, timeout=20, preexec_fn=_limited_memory)
+    assert res.returncode == code, res.stderr
+    assert res.stderr.count("\n") == 1 and message in res.stderr
 
 
 # solve inputs, changed from --k 1 --delta 2 --mu 0.5 --alpha0 0.7, whose coefficient rows overflow

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from scipy.optimize import brentq
 
 from alleewaves.errors import (CaseMismatchError, PoleError,
                                SingularParameterError)
-from alleewaves.exact import (derive_set_a, derive_set_b, eval_amplitude, eval_phi,
-                              eval_uv, find_singularities,
-                              find_singularities_raw, make_spec,
+from alleewaves.exact import (SolutionSpec, derive_set_a, derive_set_b, eval_amplitude,
+                              eval_phi, eval_uv, find_singularities,
+                              find_singularities_raw, make_spec, nearest_pole,
                               phi_derivatives, phi_with_mask)
 from alleewaves.model import CaseKind, discriminant
 from alleewaves.verify import ode_residual
@@ -148,7 +149,11 @@ def G_from_amplitude(case, lam, mu, c1, c2, xi):
     xi = np.asarray(xi, dtype=float)
     A, Ap, App = eval_amplitude(case, lam, mu, c1, c2, xi)
     q = 0.5 * math.sqrt(abs(lam * lam - 4.0 * mu))
-    Es = np.exp(-0.5 * lam * xi) * (np.cosh(q * xi) if case is CaseKind.HYPERBOLIC else 1.0)
+    s = 1.0
+    if case is CaseKind.HYPERBOLIC:
+        P, M = abs(c1 + c2), abs(c2 - c1)
+        s = (P * np.exp(q * xi) + M * np.exp(-q * xi)) / (2.0 * (abs(c1) + abs(c2)))
+    Es = np.exp(-0.5 * lam * xi) * s
     return Es * A, Es * (Ap - 0.5 * lam * A), Es * (App - lam * Ap + 0.25 * lam * lam * A)
 
 
@@ -472,6 +477,44 @@ def test_poles_match_a_brentq_oracle(draw):
     assert len(poles) == len(oracle), (poles, oracle)
     for p, o in zip(poles, oracle):
         assert abs(p - o) <= tol(p), (p, o, abs(p - o) / tol(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(draw=amplitude_windows())
+def test_nearest_pole_is_the_closest_listed_zero(draw):
+    # the nearest pole, read by index, is the closest of the zeros listed
+    # within one period (on the whole line when A is aperiodic); a sample
+    # halfway between two zeros may round to either
+    case, lam, mu, c1, c2, lo, hi = draw
+    spec = SolutionSpec("A", "upper", case, c1, c2,
+                        replace(fig1_spec().coeffs, lam=lam, mu=mu))
+    xi = np.linspace(lo, hi, 7)
+    got = nearest_pole(spec, xi)
+    reach = spec.period or math.inf
+    for x, g in zip(xi, np.broadcast_to(got, xi.shape)):
+        poles = find_singularities_raw(case, lam, mu, c1, c2, x - reach, x + reach)
+        if not poles:
+            assert math.isnan(g)
+            continue
+        assert g in poles
+        assert abs(g - x) <= min(abs(p - x) for p in poles) + 1e-12 * (spec.period or 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(-5.0, 5.0), gap=st.floats(1e-3, 4.0), c1=st.floats(-10.0, 10.0),
+       excess=st.sampled_from([0.0, 1e-12, 1e-7, 1e-5]) | st.floats(0.0, 10.0),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_pole_free_hyperbolic_profile_is_never_masked(lam, gap, c1, excess, sign):
+    # |c2| >= |c1| leaves A = c1*sinh + c2*cosh without a zero, down to
+    # |c2| = |c1|, where G is a single exponential; both tails stay unmasked
+    c2 = sign * (abs(c1) + excess)
+    assume(abs(c1) + abs(c2) >= 0.1)
+    mu = lam * lam / 4.0 - gap
+    q = 0.5 * math.sqrt(lam * lam - 4.0 * mu)
+    xi = np.linspace(-200.0, 200.0, 4001) / q
+    phi, ok = phi_with_mask(CaseKind.HYPERBOLIC, lam, mu, c1, c2, xi)
+    assert ok.all()
+    assert np.isfinite(phi).all()
 
 
 def trig_period(spec):

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alleewaves.model import (DEFAULT_EPS_DISC, CaseKind, classify_case,
-                              discriminant)
+from alleewaves.model import EPS_DISC, CaseKind, classify_case, discriminant
 
 SQRT2 = math.sqrt(2.0)
 
@@ -47,23 +46,11 @@ class TestClassifyCase:
         assert classify_case(4.38406, 5.0) is CaseKind.TRIGONOMETRIC
         assert classify_case(2.0, 1.0) is CaseKind.DEGENERATE
 
-    def test_zero_tolerance_requires_exact_tie(self):
-        rng = np.random.RandomState(3)
-        for _ in range(500):
-            lam, mu = rng.uniform(-5, 5, 2)
-            got = classify_case(lam, mu, eps_disc=0.0)
-            if got is CaseKind.DEGENERATE:
-                assert lam * lam == 4.0 * mu
-
     def test_exhaustive_and_exclusive(self):
         rng = np.random.RandomState(4)
         for _ in range(500):
             lam, mu = rng.uniform(-5, 5, 2)
             assert classify_case(lam, mu) in CaseKind
-
-    def test_negative_eps_rejected(self):
-        with pytest.raises(ValueError):
-            classify_case(1.0, 1.0, eps_disc=-1.0)
 
     def test_overflowed_discriminant_raises(self):
         # lambda^2 - 4 mu is inf - inf = NaN in floats; the true sign is +
@@ -73,15 +60,13 @@ class TestClassifyCase:
 
 @st.composite
 def _cases(draw):
-    """(lambda, mu, eps_disc), half of them within a few eps_disc of a tie."""
-    eps_disc = draw(st.sampled_from([0.0, DEFAULT_EPS_DISC, 1e-3]))
+    """(lambda, mu), half of them within a few EPS_DISC of a tie."""
     if draw(st.booleans()):
-        return (draw(st.floats(-1e150, 1e150)), draw(st.floats(-1e300, 1e300)),
-                eps_disc)
-    # small lambda keeps the rounding band well inside eps_disc
+        return draw(st.floats(-1e150, 1e150)), draw(st.floats(-1e300, 1e300))
+    # small lambda keeps the rounding band well inside EPS_DISC
     lam = draw(st.floats(-10.0, 10.0))
-    offset = draw(st.floats(-3.0, 3.0)) * max(eps_disc, DEFAULT_EPS_DISC)
-    return lam, (lam * lam - offset) / 4.0, eps_disc
+    offset = draw(st.floats(-3.0, 3.0)) * EPS_DISC
+    return lam, (lam * lam - offset) / 4.0
 
 
 @settings(max_examples=1000, deadline=None)
@@ -92,13 +77,13 @@ def test_class_matches_exact_sign(case):
     The computed discriminant rounds twice (the square, then the
     difference), so it lies within 2 u (lambda^2 + 4|mu|) of the exact value,
     u = 2^-53.  The band is twice that, plus the smallest subnormal for an
-    underflowed square; inside it around +-eps_disc any class is allowed.
+    underflowed square; inside it around +-EPS_DISC any class is allowed.
     """
-    lam, mu, eps_disc = case
+    lam, mu = case
     exact = Fraction(lam) ** 2 - 4 * Fraction(mu)
     band = Fraction(2.0**-51 * (lam * lam + 4.0 * abs(mu))) + Fraction(2.0**-1074)
-    eps = Fraction(eps_disc)
-    got = classify_case(lam, mu, eps_disc)
+    eps = Fraction(EPS_DISC)
+    got = classify_case(lam, mu)
     if exact > eps + band:
         assert got is CaseKind.HYPERBOLIC
     elif exact < -eps - band:

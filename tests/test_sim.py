@@ -433,13 +433,6 @@ class TestWaveSpeed:
         with pytest.raises(TrackingError):
             measure_wave_speed([f, f], 0.5)
 
-    def test_v_component(self):
-        snaps = self.make_front_snapshots(1.7)
-        swapped = [GridField(x0=f.x0, dx=f.dx, u=f.v, v=f.u, t=f.t)
-                   for f in snaps]
-        assert measure_wave_speed(swapped, 0.0, component="v") == \
-            pytest.approx(1.7, abs=1e-10)
-
     def test_needs_two_snapshots(self):
         with pytest.raises(ValueError):
             measure_wave_speed([uniform_field(1.0, 0.0)], 0.5)
