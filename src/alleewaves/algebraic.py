@@ -34,16 +34,20 @@ distinct one and ``RESIDUAL_TOL`` decides.  The candidates are complete,
 so an empty result proves that no admissible root passes RESIDUAL_TOL.  If
 all three polynomials vanish identically in a branch, L is free there and
 the roots are not isolated: ``NonIsolatedRootsError`` names the branch.
+
+Importing this module loads no SciPy.  The first polish imports
+``least_squares`` and binds it as the module global of that name, so only a
+root search (``solve_families``, the ``solve`` command) pays for SciPy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import NonIsolatedRootsError, SingularParameterError
 from .exact import FAMILIES, ExpansionCoeffs
@@ -62,6 +66,15 @@ _FROM_NODES = np.linalg.inv(np.vander(_NODES))
 # MINPACK's ftol = xtol = gtol and its evaluation limit per polish
 _LM_TOL = 1e-15
 _MAX_NFEV = 400
+
+
+def __getattr__(name):
+    # PEP 562: SciPy's least_squares is bound as a module global on first use
+    if name == "least_squares":
+        global least_squares
+        from scipy.optimize import least_squares
+        return least_squares
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -220,9 +233,10 @@ def solve_families(k, delta, mu, alpha0, init_grid=None):
             if np.isfinite(y0).all() and np.isfinite(_fun(y0, *args)).all():
                 starts.append(y0)
         roots = []
+        this = sys.modules[__name__]  # read least_squares as an attribute: __getattr__ loads it
         for y0 in starts:
-            res = least_squares(_fun, y0, jac=_jac, method="lm", args=args, xtol=_LM_TOL,
-                                ftol=_LM_TOL, gtol=_LM_TOL, max_nfev=_MAX_NFEV)
+            res = this.least_squares(_fun, y0, jac=_jac, method="lm", args=args, xtol=_LM_TOL,
+                                     ftol=_LM_TOL, gtol=_LM_TOL, max_nfev=_MAX_NFEV)
             if np.linalg.norm(_fun(res.x, *args)) < RESIDUAL_TOL:
                 roots.append(res.x)
     return [ExpansionCoeffs(alpha1=a1, alpha0=alpha0, beta1=b1, beta0=b0, lam=L, mu=mu, c=c,

@@ -22,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (AlleeWavesError, BlowUpError, PoleError, StabilityError,
-                     TrackingError)
+from .algebraic import closed_form_targets, deviation, match_root, solve_families
+from .errors import (AlleeWavesError, BlowUpError, PoleError, SingularParameterError,
+                     StabilityError, TrackingError)
 from .exact import FAMILIES, eval_uv_masked, find_singularities, make_spec, nearest_pole
 from .model import CaseKind
 from .output import FLOAT_FMT, write_csv, write_svg
@@ -191,8 +192,13 @@ def build_parser():
 
 
 def _make_spec_from(par):
-    return make_spec(par["family"], par["alpha0"], par["mu"], par["k"],
-                     par["delta"], branch=par["branch"], c1=par["c1"], c2=par["c2"])
+    """The spec of par; a SingularParameterError also names the flags it came from."""
+    try:
+        return make_spec(par["family"], par["alpha0"], par["mu"], par["k"],
+                         par["delta"], branch=par["branch"], c1=par["c1"], c2=par["c2"])
+    except SingularParameterError as exc:
+        flags = " ".join(f"--{name} {par[name]!r}" for name in ("alpha0", "mu", "k", "delta"))
+        raise SingularParameterError(f"{exc} (from {flags})") from None
 
 
 def _sample_profile(spec, x, t):
@@ -307,14 +313,25 @@ def cmd_verify(par, out) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
+# how to seed without a pole in the domain, by case (see exact._CASES)
+_POLE_ADVICE = {
+    CaseKind.HYPERBOLIC: "choose |c2| >= |c1|, which leaves a hyperbolic seed pole-free",
+    CaseKind.TRIGONOMETRIC: "a trigonometric seed has a pole every {period:.6g} in xi,"
+                            " and c1, c2 only shift them: choose a domain shorter than that"
+                            " between two poles, or parameters with lambda^2 >= 4*mu",
+    CaseKind.DEGENERATE: "a degenerate seed's one pole is at xi=-c1/c2: choose c1, c2"
+                         " that put it outside the domain, or c2 = 0 for a constant seed",
+}
+
+
 def cmd_simulate(par, out) -> int:
     spec = _make_spec_from(par)
     co = spec.coeffs
     x = np.arange(par["x_min"], par["x_max"] + 0.5 * par["dx"], par["dx"])
     p = float(nearest_pole(spec, 0.5 * (x[0] + x[-1])))
     if x[0] <= p <= x[-1]:
-        raise ValueError(f"seed profile has a pole at xi={p:.6g} inside"
-                         " the domain; choose |c2|>|c1| with matching signs")
+        raise ValueError(f"seed profile has a pole at xi={p:.6g} inside the domain;"
+                         f" {_POLE_ADVICE[spec.case].format(period=spec.period)}")
     u0, v0 = np.asarray(eval_uv_masked(spec, x, 0.0)[:2])
     field = GridField(x0=float(x[0]), dx=par["dx"], u=u0, v=v0, t=0.0)
     cfg = SimConfig(k=par["k"], delta=par["delta"], beta=co.beta_model,
@@ -353,8 +370,6 @@ def cmd_simulate(par, out) -> int:
 
 
 def cmd_solve(par, _out) -> int:
-    # only solve needs the root search, and its SciPy import is most of a cold start
-    from .algebraic import closed_form_targets, deviation, match_root, solve_families
     roots = solve_families(par["k"], par["delta"], par["mu"], par["alpha0"])
     targets = closed_form_targets(par["k"], par["delta"], par["mu"], par["alpha0"])
     fields = ("alpha1", "beta1", "beta0", "lambda", "c", "beta")

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+from .errors import SingularParameterError
+
 EPS_DISC = 1e-9
 
 
@@ -26,13 +28,14 @@ class CaseKind(Enum):
 
 
 def discriminant(lam: float, mu: float) -> float:
-    """lambda^2 - 4*mu; raises ValueError when it overflows."""
+    """lambda^2 - 4*mu; raises ValueError when either is not finite and
+    SingularParameterError (a ValueError) when it overflows."""
     if not (math.isfinite(lam) and math.isfinite(mu)):
         raise ValueError("lambda and mu must be finite")
     disc = lam * lam - 4.0 * mu
     if not math.isfinite(disc):
         # inf - inf is NaN, which would classify as trigonometric
-        raise ValueError(f"lambda^2 - 4*mu overflows at lambda={lam!r}, mu={mu!r}")
+        raise SingularParameterError(f"lambda^2 - 4*mu overflows at lambda={lam!r}, mu={mu!r}")
     return disc
 
 

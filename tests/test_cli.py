@@ -62,6 +62,15 @@ class TestEval:
         assert f"alpha0={float(alpha0)!r}" in capsys.readouterr().err
 
 
+    def test_overflow_names_the_flag(self, tmp_path, capsys):
+        args = list(FIG1)
+        args[args.index("--alpha0") + 1] = "1e200"
+        assert main(["eval", *args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lambda^2 - 4*mu overflows at lambda=1.41")
+        assert "--alpha0 1e+200" in err
+
+
 class TestFigure:
     def test_figure1(self, tmp_path):
         assert main(["figure", "1", "--out", str(tmp_path)]) == 0
@@ -146,12 +155,21 @@ class TestSimulate:
         assert "t_end must be finite" in capsys.readouterr().err
 
     def test_pole_in_domain_rejected(self, tmp_path, capsys):
-        args = list(SIM_BASE)
-        args[args.index("--c1") + 1] = "20"
-        args[args.index("--c2") + 1] = "10"  # |c2|<|c1| -> real pole
-        assert main(["simulate", *args, "--dt", "0.004", "--t-end", "0.1",
-                     "--out", str(tmp_path)]) == 2
-        assert "pole" in capsys.readouterr().err
+        # Set A is hyperbolic for mu < 1.53125, degenerate at it and
+        # trigonometric above; the advice must hold for the seed's case
+        for mu, c1, c2, advice in [
+            ("0.2", "20", "10", "choose |c2| >= |c1|, which leaves a hyperbolic seed pole-free"),
+            ("5", "10", "20", "a trigonometric seed has a pole every 1.6868 in xi,"
+                              " and c1, c2 only shift them"),
+            ("1.53125", "1", "1", "a degenerate seed's one pole is at xi=-c1/c2"),
+        ]:
+            args = list(SIM_BASE)
+            for flag, value in (("--mu", mu), ("--c1", c1), ("--c2", c2)):
+                args[args.index(flag) + 1] = value
+            assert main(["simulate", *args, "--dt", "0.004", "--t-end", "0.1",
+                         "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: seed profile has a pole at xi=") and advice in err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -3,8 +3,9 @@
 ``sim.py`` is an independent check of the closed forms in ``exact.py``, so it
 must share no machinery with them, directly or through another module.
 ``exact.py`` writes every pole in closed form and needs no SciPy solver.
-Only the root search in ``algebraic.py`` needs SciPy, so importing any other
-module, the CLI included, must not load it.
+Only the polish of the root search in ``algebraic.py`` needs SciPy, so no
+module loads it on import, the package, ``algebraic`` and the CLI included:
+the first polish does, and binds ``algebraic.least_squares`` as it does.
 """
 
 import ast
@@ -62,18 +63,61 @@ def test_exact_imports_no_scipy():
     assert "scipy" not in top_level_imports((PACKAGE / "exact.py").read_text())
 
 
-def loaded_modules(module):
-    """The names in sys.modules after a fresh interpreter imports module."""
+def run_fresh(code):
+    """The standard output of code run by a fresh interpreter that finds the package."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", f"import sys, {module}; print(*sys.modules)"],
-                         env=env, capture_output=True, text=True, check=True)
-    return run.stdout.split()
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
 
 
-@pytest.mark.parametrize("module", ["cli", "exact", "verify", "sim", "output"])
+def loaded_modules(module):
+    """The names in sys.modules after a fresh interpreter imports module."""
+    return run_fresh(f"import sys, {module}; print(*sys.modules)").split()
+
+
+@pytest.mark.parametrize("module", ["alleewaves"] + [
+    f"alleewaves.{name}" for name in ("algebraic", "cli", "exact", "verify", "sim", "output")],
+    ids=lambda module: module.partition(".")[2] or "package")
 def test_import_loads_no_scipy(module):
-    assert [m for m in loaded_modules(f"alleewaves.{module}") if m.split(".")[0] == "scipy"] == []
+    assert [m for m in loaded_modules(module) if m.split(".")[0] == "scipy"] == []
+
+
+# the figure-1 inputs k, delta, mu, alpha0
+FIG1 = (5.9, 3.0, 0.2, 1.2)
+
+
+def test_first_polish_loads_and_binds_scipy():
+    out = run_fresh(
+        "import sys\n"
+        "from alleewaves import algebraic\n"
+        "before = 'scipy.optimize' in sys.modules\n"
+        f"algebraic.solve_families{FIG1}\n"
+        "import scipy.optimize\n"
+        "print(before, algebraic.least_squares is scipy.optimize.least_squares)\n")
+    assert out.split() == ["False", "True"]
+
+
+def test_tracer_installed_before_any_polish_counts_every_polish():
+    # bench/tracing.py rebinds algebraic.least_squares when it installs; the
+    # polish must call that binding even though SciPy had not loaded yet
+    bench = PACKAGE.parents[1] / "bench" / "tracing.py"
+    out = run_fresh(
+        "import importlib.util, sys\n"
+        "import alleewaves.cli, alleewaves.output, alleewaves.sim, alleewaves.verify\n"
+        "from alleewaves import algebraic\n"
+        f"spec = importlib.util.spec_from_file_location('bench_tracing', {str(bench)!r})\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "sys.modules[spec.name] = tracing\n"
+        "spec.loader.exec_module(tracing)\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        f"roots = algebraic.solve_families{FIG1}\n"
+        "tracer.uninstall()\n"
+        f"print(tracer.starts, len(algebraic._distinct(algebraic._candidates{FIG1})), len(roots))\n")
+    starts, candidates, roots = map(int, out.split())
+    assert starts == candidates == roots == 4
 
 
 def test_sim_loads_only_errors():
