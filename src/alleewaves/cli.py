@@ -16,17 +16,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .algebraic import closed_form_targets, deviation, match_root, solve_families
-from .errors import (AlleeWavesError, BlowUpError, PoleError, SingularParameterError,
-                     StabilityError, TrackingError)
+from .errors import (AlleeWavesError, BlowUpError, CaseMismatchError, PoleError,
+                     SingularParameterError, StabilityError, TrackingError)
 from .exact import FAMILIES, eval_uv_masked, find_singularities, make_spec, nearest_pole
-from .model import CaseKind
+from .model import CaseKind, discriminant
 from .output import FLOAT_FMT, write_csv, write_svg
 from .sim import GridField, SimConfig, measure_wave_speed, simulate
 from .verify import check_G_ode, ode_residual
@@ -228,8 +228,9 @@ def _sample_profile(spec, x, t):
 
 def cmd_eval(par, out) -> int:
     spec = _make_spec_from(par)
-    if par["case"] is not None:  # the spec's own case check rejects a mismatch
-        replace(spec, case=CaseKind(par["case"]))
+    if par["case"] not in (None, spec.case.value):
+        co = spec.coeffs
+        raise CaseMismatchError(CaseKind(par["case"]), discriminant(co.lam, co.mu), spec.case)
     x = np.linspace(par["x_min"], par["x_max"], par["n"])
     u, v, ok, pole_hdr = _sample_profile(spec, x, par["t"])
     hdr = {**_ARTIFACT, "command": "eval", **par, "case": spec.case.value,

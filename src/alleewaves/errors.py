@@ -27,6 +27,10 @@ class SingularParameterError(AlleeWavesError, ValueError):
 class CaseMismatchError(AlleeWavesError, ValueError):
     """The requested case tag is inconsistent with the sign of lambda^2 - 4*mu."""
 
+    def __init__(self, case, disc, actual):
+        super().__init__(f"case {case.value} inconsistent with lambda^2-4mu={disc:.6g}"
+                         f" ({actual.value})")
+
 
 class StabilityError(AlleeWavesError):
     """Time step violates the explicit diffusion or reaction stability bound."""

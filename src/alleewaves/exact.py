@@ -20,12 +20,18 @@ The "upper" branch takes the top sign throughout; "lower" the bottom one.
 
 Note: Set B's discriminant is (alpha0**2 - 2*mu)**2 / (2*alpha0**2) >= 0,
 so Set B admits only the hyperbolic and degenerate regimes.
+
+A SolutionSpec classifies its case from lam^2 - 4*mu once, when it is built,
+and eval_phi, phi_derivatives, eval_uv, eval_uv_masked, find_singularities
+and nearest_pole all take the spec.  eval_amplitude(case, lam, mu, c1, c2, xi)
+is the one raw entry, and the one place that checks a case it is given:
+verify.check_G_ode tests the auxiliary oscillator from those numbers alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,14 +44,10 @@ SQRT2 = math.sqrt(2.0)
 # Relative denominator floor triggering PoleError (times |c1|+|c2|)
 POLE_FLOOR = 1e-6
 
-_BRANCH_SIGN = {"upper": 1.0, "lower": -1.0}
-
-
 def _branch_sign(branch: str) -> float:
-    try:
-        return _BRANCH_SIGN[branch]
-    except KeyError:
-        raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}") from None
+    if branch not in ("upper", "lower"):
+        raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
+    return 1.0 if branch == "upper" else -1.0
 
 
 @dataclass(frozen=True)
@@ -112,22 +114,13 @@ def derive_set_b(alpha0, mu, k, delta, branch="upper") -> ExpansionCoeffs:
 FAMILIES = {"A": derive_set_a, "B": derive_set_b}
 
 
-def _check_case(case: CaseKind, lam, mu):
-    actual = classify_case(lam, mu)
-    if actual is not case:
-        raise CaseMismatchError(
-            f"case {case.value} inconsistent with lambda^2-4mu="
-            f"{discriminant(lam, mu):.6g} ({actual.value})"
-        )
-
-
 @dataclass(frozen=True)
 class SolutionSpec:
-    """One fully-specified solution: family, sign branch, case, c1/c2, coefficients."""
+    """One fully-specified solution; its case is classified from lambda and mu, once, here."""
 
     family: str          # 'A' or 'B'
     branch: str          # 'upper' or 'lower'
-    case: CaseKind
+    case: CaseKind = field(init=False)
     c1: float
     c2: float
     coeffs: ExpansionCoeffs
@@ -136,9 +129,12 @@ class SolutionSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
         _branch_sign(self.branch)
+        for name, val in (("c1", self.c1), ("c2", self.c2)):
+            if not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val}")
         if self.c1 == 0 and self.c2 == 0:
             raise ValueError("(c1, c2) must not both be zero")
-        _check_case(self.case, self.coeffs.lam, self.coeffs.mu)
+        object.__setattr__(self, "case", classify_case(self.coeffs.lam, self.coeffs.mu))
 
     @property
     def period(self):
@@ -148,13 +144,17 @@ class SolutionSpec:
 
 
 def make_spec(family, alpha0, mu, k, delta, branch="upper", c1=1.0, c2=0.0) -> SolutionSpec:
-    """Derive the family coefficients and classify the case in one step."""
+    """Derive the family coefficients and build their spec in one step."""
     if family not in FAMILIES:
         raise ValueError(f"family must be 'A' or 'B', got {family!r}")
     coeffs = FAMILIES[family](alpha0, mu, k, delta, branch)
-    case = classify_case(coeffs.lam, coeffs.mu)
-    return SolutionSpec(family=family, branch=branch, case=case,
-                        c1=float(c1), c2=float(c2), coeffs=coeffs)
+    return SolutionSpec(family, branch, float(c1), float(c2), coeffs)
+
+
+def check_window(name, lo, hi):
+    """ValueError naming the window unless both ends are finite and lo < hi."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"{name} must have finite ends in increasing order, got ({lo}, {hi})")
 
 
 def _hyperbolic_amp(q, c1, c2, xi):
@@ -217,8 +217,7 @@ _CASES = {
 
 
 def _forms(case: CaseKind, lam, mu):
-    """The table entry of case, checked against (lam, mu), and its rate q."""
-    _check_case(case, lam, mu)
+    """The table entry of case and its rate q."""
     return _CASES[case], 0.5 * math.sqrt(abs(lam * lam - 4.0 * mu))
 
 
@@ -232,94 +231,78 @@ def eval_amplitude(case: CaseKind, lam, mu, c1, c2, xi):
     Degenerate:     A = c1 + c2*xi,                     s = 1
 
     with q = sqrt(|lam^2 - 4*mu|)/2.  A'' is differentiated from the case
-    formula, never taken from the ODE.
+    formula, never taken from the ODE.  A case that disagrees with
+    lam^2 - 4*mu raises CaseMismatchError.
     """
+    actual = classify_case(lam, mu)
+    if actual is not case:
+        raise CaseMismatchError(case, discriminant(lam, mu), actual)
     forms, q = _forms(case, lam, mu)
     return forms.amp(q, c1, c2, np.asarray(xi, dtype=float))
 
 
-def phi_with_mask(case: CaseKind, lam, mu, c1, c2, xi):
+def _phi(spec: SolutionSpec, xi):
     """phi and a validity mask (False where the pole floor is hit).
 
     The exponential prefactor of G and the scale s cancel in phi = G'/G,
     which leaves phi = -lam/2 + A'/A on the bounded amplitude.
     """
-    A, Ap, _ = eval_amplitude(case, lam, mu, c1, c2, xi)
+    co = spec.coeffs
+    forms, q = _forms(spec.case, co.lam, co.mu)
+    A, Ap, _ = forms.amp(q, spec.c1, spec.c2, np.asarray(xi, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi = -0.5 * lam + Ap / A
-    ok = np.abs(A) >= POLE_FLOOR * (abs(c1) + abs(c2))
+        phi = -0.5 * co.lam + Ap / A
+    ok = np.abs(A) >= POLE_FLOOR * (abs(spec.c1) + abs(spec.c2))
     return phi, ok
 
 
-def _nearest(case: CaseKind, lam, mu, c1, c2, xi):
-    forms, q = _forms(case, lam, mu)
-    return forms.zero(q, c1, c2, np.rint(forms.index(q, c1, c2, xi)))
-
-
-def eval_phi(case: CaseKind, lam, mu, c1, c2, xi):
+def eval_phi(spec: SolutionSpec, xi):
     """phi = G'/G; raises PoleError if any sample hits the pole floor.
 
     The error names the zero of A nearest to the first such sample.
     """
-    phi, ok = phi_with_mask(case, lam, mu, c1, c2, xi)
+    phi, ok = _phi(spec, xi)
     if not np.all(ok):
         bad = float(np.atleast_1d(np.asarray(xi, float))[~np.atleast_1d(ok)][0])
-        raise PoleError(bad, float(_nearest(case, lam, mu, c1, c2, bad)))
-    if np.ndim(xi) == 0:
-        return float(phi)
-    return phi
+        raise PoleError(bad, float(nearest_pole(spec, bad)))
+    return float(phi) if np.ndim(xi) == 0 else phi
 
 
-def phi_derivatives(case: CaseKind, lam, mu, c1, c2, xi):
+def phi_derivatives(spec: SolutionSpec, xi):
     """(phi, phi', phi'') using the Riccati identity phi' = -(mu + lam*phi + phi^2)."""
-    phi = eval_phi(case, lam, mu, c1, c2, xi)
-    dphi = -(mu + lam * phi + phi * phi)
-    d2phi = -(lam + 2.0 * phi) * dphi
+    co = spec.coeffs
+    phi = eval_phi(spec, xi)
+    dphi = -(co.mu + co.lam * phi + phi * phi)
+    d2phi = -(co.lam + 2.0 * phi) * dphi
     return phi, dphi, d2phi
 
 
 def eval_uv(spec: SolutionSpec, x, t):
     """The solution fields (u, v) at (x, t); xi = x - c*t."""
     co = spec.coeffs
-    xi = np.asarray(x, dtype=float) - co.c * np.asarray(t, dtype=float)
-    phi = eval_phi(spec.case, co.lam, co.mu, spec.c1, spec.c2, xi)
-    u = co.alpha1 * phi + co.alpha0
-    v = co.beta1 * phi + co.beta0
-    return u, v
+    phi = eval_phi(spec, np.asarray(x, dtype=float) - co.c * np.asarray(t, dtype=float))
+    return co.alpha1 * phi + co.alpha0, co.beta1 * phi + co.beta0
 
 
 def eval_uv_masked(spec: SolutionSpec, x, t):
     """(u, v, ok) with pole-adjacent samples masked out instead of raising."""
     co = spec.coeffs
-    xi = np.asarray(x, dtype=float) - co.c * np.asarray(t, dtype=float)
-    phi, ok = phi_with_mask(spec.case, co.lam, co.mu, spec.c1, spec.c2, xi)
-    u = co.alpha1 * phi + co.alpha0
-    v = co.beta1 * phi + co.beta0
-    return u, v, ok
+    phi, ok = _phi(spec, np.asarray(x, dtype=float) - co.c * np.asarray(t, dtype=float))
+    return co.alpha1 * phi + co.alpha0, co.beta1 * phi + co.beta0, ok
 
 
-def find_singularities_raw(case: CaseKind, lam, mu, c1, c2, xi_lo, xi_hi):
-    """All zeros of the case amplitude in [xi_lo, xi_hi], sorted.
-
-    The zeros are the case's closed forms; an empty list is a valid result.
-    A case that disagrees with lam^2 - 4*mu raises CaseMismatchError.
-    """
-    if xi_lo >= xi_hi:
-        raise ValueError("need xi_lo < xi_hi")
-    forms, q = _forms(case, lam, mu)
+def find_singularities(spec: SolutionSpec, xi_lo, xi_hi):
+    """Poles of the solution profile (closed-form zeros of A) in [xi_lo, xi_hi], sorted."""
+    check_window("(xi_lo, xi_hi)", xi_lo, xi_hi)
+    co, c1, c2 = spec.coeffs, spec.c1, spec.c2
+    forms, q = _forms(spec.case, co.lam, co.mu)
     ns = range(math.floor(forms.index(q, c1, c2, xi_lo)),
                math.ceil(forms.index(q, c1, c2, xi_hi)) + 1)
     return [x for x in (forms.zero(q, c1, c2, n) for n in ns) if xi_lo <= x <= xi_hi]
 
 
-def find_singularities(spec: SolutionSpec, xi_lo, xi_hi):
-    """Poles of the solution profile (zeros of G) in [xi_lo, xi_hi]."""
-    co = spec.coeffs
-    return find_singularities_raw(spec.case, co.lam, co.mu, spec.c1, spec.c2,
-                                  xi_lo, xi_hi)
-
-
 def nearest_pole(spec: SolutionSpec, xi):
     """The pole of the solution profile nearest to each xi; NaN where it has none."""
-    co = spec.coeffs
-    return _nearest(spec.case, co.lam, co.mu, spec.c1, spec.c2, xi)
+    co, c1, c2 = spec.coeffs, spec.c1, spec.c2
+    forms, q = _forms(spec.case, co.lam, co.mu)
+    return forms.zero(q, c1, c2, np.rint(forms.index(q, c1, c2, xi)))

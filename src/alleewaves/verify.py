@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlleeWavesError, PoleError
-from .exact import SolutionSpec, eval_amplitude, eval_uv, nearest_pole, phi_derivatives
+from .exact import (SolutionSpec, check_window, eval_amplitude, eval_uv, nearest_pole,
+                    phi_derivatives)
 from .model import CaseKind
 
 MIN_EXCLUSION_RADIUS = 1e-3
@@ -64,11 +65,9 @@ class ResidualReport:
 
 def _uv_derivatives(spec: SolutionSpec, xi):
     co = spec.coeffs
-    p, dp, d2p = phi_derivatives(spec.case, co.lam, co.mu, spec.c1, spec.c2, xi)
-    u = co.alpha1 * p + co.alpha0
-    v = co.beta1 * p + co.beta0
-    return (u, co.alpha1 * dp, co.alpha1 * d2p,
-            v, co.beta1 * dp, co.beta1 * d2p)
+    p, dp, d2p = phi_derivatives(spec, xi)
+    return (co.alpha1 * p + co.alpha0, co.alpha1 * dp, co.alpha1 * d2p,
+            co.beta1 * p + co.beta0, co.beta1 * dp, co.beta1 * d2p)
 
 
 def _ode_rows(spec: SolutionSpec, u, up, upp, v, vp, vpp):
@@ -80,17 +79,11 @@ def _ode_rows(spec: SolutionSpec, u, up, upp, v, vp, vpp):
     return r1, r2
 
 
-def _check_window(name, lo, hi):
-    """ValueError naming the window unless both ends are finite and lo < hi."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"{name} must have finite ends in increasing order, got ({lo}, {hi})")
-
-
 def ode_residual(spec: SolutionSpec, xi_lo, xi_hi, n_samples=2001) -> ResidualReport:
     """Residuals of the traveling-wave ODE system on a pole-excluded grid."""
     if n_samples < 16:
         raise ValueError("need n_samples >= 16")
-    _check_window("(xi_lo, xi_hi)", xi_lo, xi_hi)
+    check_window("(xi_lo, xi_hi)", xi_lo, xi_hi)
     xi = np.linspace(xi_lo, xi_hi, n_samples)
     h = (xi_hi - xi_lo) / (n_samples - 1)
     radius = max(10.0 * h, MIN_EXCLUSION_RADIUS)
@@ -141,8 +134,8 @@ def pde_residual(spec: SolutionSpec, x_window, t_window, nx=401, nt=101) -> Resi
         raise ValueError("need nx, nt >= 8")
     x0, x1 = x_window
     t0, t1 = t_window
-    _check_window("x_window", x0, x1)
-    _check_window("t_window", t0, t1)
+    check_window("x_window", x0, x1)
+    check_window("t_window", t0, t1)
     co = spec.coeffs
     # the window covers exactly xi in [lo, hi], so a pole line x = xi* + c*t
     # meets it iff xi* lies there, and then so does the pole nearest the middle

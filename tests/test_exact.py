@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +11,8 @@ from scipy.optimize import brentq
 from alleewaves.errors import (CaseMismatchError, PoleError,
                                SingularParameterError)
 from alleewaves.exact import (SolutionSpec, derive_set_a, derive_set_b, eval_amplitude,
-                              eval_phi, eval_uv, find_singularities,
-                              find_singularities_raw, make_spec, nearest_pole,
-                              phi_derivatives, phi_with_mask)
+                              eval_phi, eval_uv, eval_uv_masked, find_singularities,
+                              make_spec, nearest_pole, phi_derivatives)
 from alleewaves.model import CaseKind, discriminant
 from alleewaves.verify import ode_residual
 
@@ -27,6 +27,11 @@ FIG3 = dict(alpha0=SQRT2, mu=1.0, k=2.03, delta=3.0, c1=20.0, c2=10.0)
 def fig1_spec(branch="upper"):
     return make_spec("A", FIG1["alpha0"], FIG1["mu"], FIG1["k"], FIG1["delta"],
                      branch, FIG1["c1"], FIG1["c2"])
+
+
+def spec_of(lam, mu, c1, c2):
+    """A spec with arbitrary (lam, mu, c1, c2); its case is classified from lam and mu."""
+    return SolutionSpec("A", "upper", c1, c2, replace(fig1_spec().coeffs, lam=lam, mu=mu))
 
 
 class TestDeriveSetA:
@@ -212,22 +217,22 @@ class TestEvalG:
 class TestEvalPhi:
     def test_degenerate_constant(self):
         xi = np.linspace(-30, 30, 101)
-        phi = eval_phi(CaseKind.DEGENERATE, 2.0, 1.0, 1.0, 0.0, xi)
+        phi = eval_phi(spec_of(2.0, 1.0, 1.0, 0.0), xi)
         np.testing.assert_allclose(phi, -1.0)
 
     def test_hyperbolic_asymptote(self):
         lam, mu = -2.47487, 0.2
-        got = eval_phi(CaseKind.HYPERBOLIC, lam, mu, 20.0, 10.0, 50.0)
+        got = eval_phi(spec_of(lam, mu, 20.0, 10.0), 50.0)
         assert got == pytest.approx(-lam / 2 + math.sqrt(lam * lam - 4 * mu) / 2,
                                     rel=1e-12)
 
     def test_trigonometric_tan(self):
-        got = eval_phi(CaseKind.TRIGONOMETRIC, 0.0, 1.0, 1.0, 0.0, math.pi / 4)
+        got = eval_phi(spec_of(0.0, 1.0, 1.0, 0.0), math.pi / 4)
         assert got == pytest.approx(-1.0)
 
     def test_pole_raises(self):
         with pytest.raises(PoleError):
-            eval_phi(CaseKind.DEGENERATE, 2.0, 1.0, 1.0, 1.0, -1.0)
+            eval_phi(spec_of(2.0, 1.0, 1.0, 1.0), -1.0)
 
     @pytest.mark.parametrize("case, lam, mu, c1, c2, xi, pole", [
         # A = 1 + 1e-8*xi stays below the floor for 100 either side of its zero
@@ -236,8 +241,10 @@ class TestEvalPhi:
         (CaseKind.TRIGONOMETRIC, 0.0, 1e-8, 1.0, 0.0, 15707.97, 0.5e4 * math.pi),
     ])
     def test_pole_error_names_the_nearest_zero(self, case, lam, mu, c1, c2, xi, pole):
+        spec = spec_of(lam, mu, c1, c2)
+        assert spec.case is case
         with pytest.raises(PoleError) as exc:
-            eval_phi(case, lam, mu, c1, c2, xi)
+            eval_phi(spec, xi)
         assert exc.value.xi == xi
         assert exc.value.xi_pole == pytest.approx(pole, rel=1e-15)
 
@@ -247,15 +254,16 @@ class TestEvalPhi:
             case, lam, mu, c1, c2 = random_case(rng)
             xi = np.linspace(-8, 8, 401)
             G, Gp, _ = textbook_G(case, lam, mu, c1, c2, xi)
-            phi, ok = phi_with_mask(case, lam, mu, c1, c2, xi)
-            keep = ok & (np.abs(G) > 1e-6 * (abs(c1) + abs(c2)))
-            np.testing.assert_allclose(phi[keep], Gp[keep] / G[keep],
+            spec = spec_of(lam, mu, c1, c2)
+            assert spec.case is case
+            keep = eval_uv_masked(spec, xi, 0.0)[2] & (np.abs(G) > 1e-6 * (abs(c1) + abs(c2)))
+            np.testing.assert_allclose(eval_phi(spec, xi[keep]), Gp[keep] / G[keep],
                                        rtol=1e-12, atol=1e-12)
 
     def test_no_overflow_far_out(self):
         # the raw cosh/sinh forms overflow here; the ratio must not
         lam = -2.47487
-        val = eval_phi(CaseKind.HYPERBOLIC, lam, 0.2, 20.0, 10.0, 2000.0)
+        val = eval_phi(spec_of(lam, 0.2, 20.0, 10.0), 2000.0)
         assert math.isfinite(val)
 
 
@@ -269,12 +277,12 @@ class TestRiccatiIdentity:
             (CaseKind.DEGENERATE, 2.0, 1.0, 20.0, 10.0, (0.0, 5.0)),
         ]
         for case, lam, mu, c1, c2, (lo, hi) in cases:
+            spec = spec_of(lam, mu, c1, c2)
+            assert spec.case is case
             xi = np.linspace(lo, hi, 1000)
-            phi, dphi, _ = phi_derivatives(case, lam, mu, c1, c2, xi)
-            fd = (eval_phi(case, lam, mu, c1, c2, xi - 2 * h)
-                  - 8 * eval_phi(case, lam, mu, c1, c2, xi - h)
-                  + 8 * eval_phi(case, lam, mu, c1, c2, xi + h)
-                  - eval_phi(case, lam, mu, c1, c2, xi + 2 * h)) / (12 * h)
+            phi, dphi, _ = phi_derivatives(spec, xi)
+            fd = (eval_phi(spec, xi - 2 * h) - 8 * eval_phi(spec, xi - h)
+                  + 8 * eval_phi(spec, xi + h) - eval_phi(spec, xi + 2 * h)) / (12 * h)
             np.testing.assert_allclose(dphi, fd, rtol=1e-10, atol=1e-8)
 
 
@@ -310,6 +318,16 @@ class TestEvalUV:
             assert u1 == pytest.approx(u0, rel=1e-12, abs=1e-12)
             assert v1 == pytest.approx(v0, rel=1e-12, abs=1e-12)
 
+    def test_set_b_extinction_wave(self):
+        # the README example: a pole-free Set B front with c > 0 leaves the
+        # empty state behind it and moves into coexistence, so u = v = 0 invades
+        spec = make_spec("B", 2.2568, 0.36149, 3.7485, 2.6557, "upper", c1=0.0, c2=1.0)
+        assert spec.coeffs.c == pytest.approx(1.1934, abs=1e-4)
+        assert spec.coeffs.beta_model > 0
+        assert find_singularities(spec, -60.0, 60.0) == []
+        np.testing.assert_allclose(eval_uv(spec, -60.0, 0.0), (0.0, 0.0), atol=1e-12)
+        np.testing.assert_allclose(eval_uv(spec, 60.0, 0.0), (1.936, 1.188), atol=1e-3)
+
     def test_v_is_u_over_sqrt_delta(self):
         rng = np.random.RandomState(14)
         for fam in ("A", "B"):
@@ -337,10 +355,25 @@ class TestSolutionSpec:
     def test_case_consistency_enforced(self):
         spec = fig1_spec()
         assert spec.case is CaseKind.HYPERBOLIC
+        with pytest.raises(TypeError):
+            SolutionSpec("A", "upper", CaseKind.HYPERBOLIC, 20.0, 10.0, spec.coeffs)
+        with pytest.raises(TypeError):
+            SolutionSpec("A", "upper", 20.0, 10.0, spec.coeffs, case=CaseKind.HYPERBOLIC)
+        # a spec rebuilt with new coefficients is classified again
+        assert replace(spec, coeffs=replace(spec.coeffs, mu=5.0)).case is CaseKind.TRIGONOMETRIC
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["c1", "c2"])
+    def test_non_finite_constant_rejected(self, name, value):
+        # the figure-2 parameters are trigonometric, where an infinite c1 gave
+        # (nan, nan) from eval_uv and a NaN c1 an untyped error from the pole search
+        consts = {"c1": 1.0, "c2": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            make_spec("A", 3.0, 5.0, 12.2, 2.0, **consts)
 
     def test_near_tie_classified_by_the_checked_threshold(self):
-        # lam^2 - 4*mu = -4e-7; make_spec classifies with the one threshold
-        # SolutionSpec checks against and takes no other
+        # lam^2 - 4*mu = -4e-7; SolutionSpec classifies with the one
+        # threshold, and make_spec takes no other
         spec = make_spec("A", 1.0, 0.5 + 1e-7, 4.0, 3.0)
         assert spec.case is CaseKind.TRIGONOMETRIC
         with pytest.raises(TypeError):
@@ -377,13 +410,11 @@ class TestFindSingularities:
         assert find_singularities(spec, -5, 5)[0] == pytest.approx(lo, abs=1e-12)
 
     def test_degenerate_pole(self):
-        got = find_singularities_raw(CaseKind.DEGENERATE, 2.0, 1.0, 1.0, 1.0,
-                                     -5.0, 5.0)
+        got = find_singularities(spec_of(2.0, 1.0, 1.0, 1.0), -5.0, 5.0)
         assert got == [pytest.approx(-1.0)]
 
     def test_trigonometric_cos_zeros(self):
-        got = find_singularities_raw(CaseKind.TRIGONOMETRIC, 0.0, 1.0, 1.0, 0.0,
-                                     0.0, 7.0)
+        got = find_singularities(spec_of(0.0, 1.0, 1.0, 0.0), 0.0, 7.0)
         assert len(got) == 2
         np.testing.assert_allclose(got, [math.pi / 2, 3 * math.pi / 2],
                                    rtol=1e-12)
@@ -393,19 +424,24 @@ class TestFindSingularities:
         assert find_singularities(spec, -50.0, 50.0) == []
 
     def test_degenerate_c2_zero_has_none(self):
-        got = find_singularities_raw(CaseKind.DEGENERATE, 2.0, 1.0, 1.0, 0.0,
-                                     -5.0, 5.0)
+        got = find_singularities(spec_of(2.0, 1.0, 1.0, 0.0), -5.0, 5.0)
         assert got == []
 
-    def test_case_mismatch(self):
-        with pytest.raises(CaseMismatchError):
-            find_singularities_raw(CaseKind.HYPERBOLIC, 0.0, 1.0, 1.0, 0.0,
-                                   -5.0, 5.0)
-
     def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            find_singularities_raw(CaseKind.DEGENERATE, 2.0, 1.0, 1.0, 1.0,
-                                   5.0, -5.0)
+        with pytest.raises(ValueError, match=r"\(xi_lo, xi_hi\) must have finite ends"):
+            find_singularities(spec_of(2.0, 1.0, 1.0, 1.0), 5.0, -5.0)
+
+    @pytest.mark.parametrize("spec, lo, hi", [
+        # a NaN end compared false both ways and gave [] on the figure-1 spec
+        (fig1_spec(), math.nan, 1.0),
+        (fig1_spec(), -1.0, math.nan),
+        # an infinite end overflowed the pole index of a trigonometric spec
+        (spec_of(0.0, 1.0, 1.0, 0.0), -math.inf, 0.0),
+        (spec_of(0.0, 1.0, 1.0, 0.0), 0.0, math.inf),
+    ], ids=["nan-lo", "nan-hi", "trig-inf-lo", "trig-inf-hi"])
+    def test_non_finite_window_rejected(self, spec, lo, hi):
+        with pytest.raises(ValueError, match=r"\(xi_lo, xi_hi\) must have finite ends"):
+            find_singularities(spec, lo, hi)
 
 
 @st.composite
@@ -437,7 +473,7 @@ def test_pole_search_misses_no_zero(draw):
     sign = np.sign(A[nz])
     i = np.nonzero(sign[:-1] != sign[1:])[0]
     changes = 0.5 * (xi[nz[i]] + xi[nz[i + 1]])
-    poles = np.array(find_singularities_raw(case, lam, mu, c1, c2, lo, hi))
+    poles = np.array(find_singularities(spec_of(lam, mu, c1, c2), lo, hi))
     for a, b in ((changes, poles), (poles, changes)):
         for x in a[(a > lo + h) & (a < hi - h)]:
             # rounding of A, about 1e-15*(|c1| + |c2|), moves its sign by that over |A'|
@@ -467,7 +503,7 @@ def test_poles_match_a_brentq_oracle(draw):
     i = np.nonzero(np.sign(A[nz[:-1]]) != np.sign(A[nz[1:]]))[0]
     oracle = [brentq(amp, xi[a], xi[b], xtol=1e-17, rtol=4 * np.finfo(float).eps)
               for a, b in zip(nz[i], nz[i + 1])]
-    poles = find_singularities_raw(case, lam, mu, c1, c2, lo, hi)
+    poles = find_singularities(spec_of(lam, mu, c1, c2), lo, hi)
 
     def interior(xs):
         # a zero within its tolerance of a window end may round to either side
@@ -486,15 +522,17 @@ def test_nearest_pole_is_the_closest_listed_zero(draw):
     # within one period (on the whole line when A is aperiodic); a sample
     # halfway between two zeros may round to either
     case, lam, mu, c1, c2, lo, hi = draw
-    spec = SolutionSpec("A", "upper", case, c1, c2,
-                        replace(fig1_spec().coeffs, lam=lam, mu=mu))
+    spec = spec_of(lam, mu, c1, c2)
+    assert spec.case is case
     xi = np.linspace(lo, hi, 7)
     got = nearest_pole(spec, xi)
-    reach = spec.period or math.inf
+    # the widest finite window stands for the whole line; a degenerate zero
+    # -c1/c2 beyond it rounds to an infinite nearest pole
+    reach = spec.period or sys.float_info.max
     for x, g in zip(xi, np.broadcast_to(got, xi.shape)):
-        poles = find_singularities_raw(case, lam, mu, c1, c2, x - reach, x + reach)
+        poles = find_singularities(spec, x - reach, x + reach)
         if not poles:
-            assert math.isnan(g)
+            assert math.isnan(g) or (case is CaseKind.DEGENERATE and math.isinf(g))
             continue
         assert g in poles
         assert abs(g - x) <= min(abs(p - x) for p in poles) + 1e-12 * (spec.period or 0.0)
@@ -512,9 +550,11 @@ def test_pole_free_hyperbolic_profile_is_never_masked(lam, gap, c1, excess, sign
     mu = lam * lam / 4.0 - gap
     q = 0.5 * math.sqrt(lam * lam - 4.0 * mu)
     xi = np.linspace(-200.0, 200.0, 4001) / q
-    phi, ok = phi_with_mask(CaseKind.HYPERBOLIC, lam, mu, c1, c2, xi)
+    spec = spec_of(lam, mu, c1, c2)
+    assert spec.case is CaseKind.HYPERBOLIC
+    u, v, ok = eval_uv_masked(spec, xi, 0.0)
     assert ok.all()
-    assert np.isfinite(phi).all()
+    assert np.isfinite(u).all() and np.isfinite(v).all()
 
 
 def trig_period(spec):
@@ -560,9 +600,8 @@ class TestPeriodCase2:
 
     def test_phi_periodicity(self):
         spec = fig2_spec()
-        co = spec.coeffs
         T = spec.period
         xi = np.linspace(0.2, 0.2 + T * 0.8, 500)
-        a = eval_phi(spec.case, co.lam, co.mu, 20.0, -10.0, xi)
-        b = eval_phi(spec.case, co.lam, co.mu, 20.0, -10.0, xi + T)
+        a = eval_phi(spec, xi)
+        b = eval_phi(spec, xi + T)
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)

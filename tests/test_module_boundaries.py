@@ -139,3 +139,56 @@ def test_detects_every_import_form():
            "import alleewaves as aw\nfrom numpy import linalg\n")
     assert package_imports(src) == ["__init__", "algebraic", "errors", "exact",
                                     "model", "output", "verify"]
+
+
+# public names that no src/ module references, each with its reason; the
+# guard below fails on any other, and on an entry that is gone or now used
+UNREFERENCED = {
+    ("errors", "NoConvergenceError"): "an errors.* type for callers to catch; bench/ reads it",
+    **dict.fromkeys([("algebraic", "coeff_residuals"), ("algebraic", "default_init_grid"),
+                     ("output", "read_csv"), ("verify", "estimate_period"),
+                     ("verify", "pde_residual")],
+                    "read by bench/; goes with ROADMAP item 1, 2 or 9"),
+}
+
+
+def referenced_names(node):
+    """Every name, attribute and imported name that node mentions."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name.rpartition(".")[2])
+    return found
+
+
+def unreferenced_public_api(trees):
+    """(module, name) of each top-level public function and class in trees
+    that no module mentions outside the name's own definition."""
+    defs = [(mod, node) for mod, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+    return sorted((mod, d.name) for mod, d in defs
+                  if not any(d.name in referenced_names(top)
+                             for tree in trees.values() for top in tree.body if top is not d))
+
+
+def test_no_public_api_goes_unreferenced():
+    trees = {f.stem: ast.parse(f.read_text()) for f in sorted(PACKAGE.glob("*.py"))}
+    assert len(UNREFERENCED) <= 10
+    # each allow-listed name still exists and is still unreferenced, so the
+    # list cannot go stale; every other public name is used inside src/
+    assert unreferenced_public_api(trees) == sorted(UNREFERENCED)
+
+
+def test_unreferenced_public_api_sees_every_reference():
+    trees = {
+        "a": ast.parse("import b\ndef used():\n    pass\ndef recursive():\n    recursive()\n"
+                       "class Lone:\n    pass\ndef _private():\n    pass\n"),
+        "b": ast.parse("from a import used as u\n"),
+        "c": ast.parse("import a\nX = a.Lone\n"),
+    }
+    assert unreferenced_public_api(trees) == [("a", "recursive")]

@@ -167,26 +167,24 @@ class TestCheckGOde:
 class TestDerivativeCrosscheck:
     def test_phi_figure1(self):
         spec = fig1_spec()
-        co = spec.coeffs
 
         def fn(xi):
-            return eval_phi(spec.case, co.lam, co.mu, 20.0, 10.0, xi)
+            return eval_phi(spec, xi)
 
         def dfn(xi):
-            return phi_derivatives(spec.case, co.lam, co.mu, 20.0, 10.0, xi)[1]
+            return phi_derivatives(spec, xi)[1]
 
         dev = derivative_crosscheck(fn, dfn, np.linspace(1, 5, 200), 1e-3)
         assert dev < 1e-9
 
     def test_constant_phi_exact(self):
         spec = extinction_spec()
-        co = spec.coeffs
 
         def fn(xi):
-            return eval_phi(spec.case, co.lam, co.mu, 1.0, 0.0, xi)
+            return eval_phi(spec, xi)
 
         def dfn(xi):
-            return phi_derivatives(spec.case, co.lam, co.mu, 1.0, 0.0, xi)[1]
+            return phi_derivatives(spec, xi)[1]
 
         assert derivative_crosscheck(fn, dfn, np.linspace(-5, 5, 100), 1e-3) < 1e-12
 
@@ -198,9 +196,7 @@ class TestDerivativeCrosscheck:
             return eval_uv(spec, xi, 0.0)[0]
 
         def dfn(xi):
-            co = spec.coeffs
-            return co.alpha1 * phi_derivatives(spec.case, co.lam, co.mu,
-                                               20.0, -10.0, xi)[1]
+            return spec.coeffs.alpha1 * phi_derivatives(spec, xi)[1]
 
         # poles sit near xi = 2.507 + n*T; stay well inside one clear stretch
         grid = np.linspace(-4.4, 2.3, 300)
