@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,7 +93,7 @@ PARAMS = (
     Param("xi_max", float, {"verify": 10.0}),
     Param("t", float, {"eval": 0.0}),
     Param("n", int, {"eval": 1001}),
-    Param("n_samples", int, {"verify": 2001}),
+    Param("n_samples", int, {"verify": 2001}, "an integer >= 16"),
     Param("dx", float, {"simulate": REQUIRED}, "positive"),
     Param("dt", float, {"simulate": REQUIRED}, "positive"),
     Param("t_end", float, {"simulate": REQUIRED}, "positive"),
@@ -110,14 +111,14 @@ PARAMS = (
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _CHECKS = {"": lambda v: True, "positive": lambda v: v > 0,
-           "non-negative": lambda v: v >= 0}
+           "non-negative": lambda v: v >= 0, "an integer >= 16": lambda v: v >= 16}
 
 
 def _violation(p, val):
     """The constraint of p that val breaks, or None."""
     if p.choices:
         ok, want = val in p.choices, "one of " + ", ".join(map(str, p.choices))
-    elif p.type is int:
+    elif p.type is int and not p.check:
         ok, want = val >= 1, "an integer >= 1"
     elif not math.isfinite(val):
         ok, want = False, "finite"
@@ -168,6 +169,18 @@ def resolve(ns) -> dict:
         if lo in par and not par[lo] < par[hi]:
             raise ValueError(f"{flag[lo]} {par[lo]} must be less than {flag[hi]} {par[hi]}")
     return par
+
+
+def _join_negative_values(argv):
+    """argv with `--flag -1e-3` of a value flag passed as `--flag=-1e-3`: argparse
+    takes a token that starts with '-' for an option unless it reads like -1 or -.5."""
+    flags = {"--out", "--config", *(p.flag for p in PARAMS if p.type is not bool)} - set(COMMANDS)
+    args = []
+    for tok in argv:
+        if args and args[-1] in flags and re.fullmatch(r"-[\d.]+e[-+]?\d+", tok, re.IGNORECASE):
+            tok = args.pop() + "=" + tok
+        args.append(tok)
+    return args
 
 
 def build_parser():
@@ -329,6 +342,9 @@ def cmd_simulate(par, out) -> int:
     spec = _make_spec_from(par)
     co = spec.coeffs
     x = np.arange(par["x_min"], par["x_max"] + 0.5 * par["dx"], par["dx"])
+    if len(x) < 8:  # the fewest cells a GridField takes
+        raise ValueError(f"--x-min {par['x_min']}, --x-max {par['x_max']} and --dx {par['dx']}"
+                         f" give a grid of {len(x)} cells; simulate needs at least 8")
     p = float(nearest_pole(spec, 0.5 * (x[0] + x[-1])))
     if x[0] <= p <= x[-1]:
         raise ValueError(f"seed profile has a pole at xi={p:.6g} inside the domain;"
@@ -407,7 +423,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     out = Path(ns.out) if "out" in ns else None
     try:
         par = resolve(ns)

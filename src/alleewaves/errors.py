@@ -24,6 +24,10 @@ class SingularParameterError(AlleeWavesError, ValueError):
     """A parameter sits on a removable-structure boundary (e.g. alpha0=0 in Set B)."""
 
 
+class PoleIndexError(AlleeWavesError, ValueError):
+    """The poles near some xi cannot be numbered: their index there is not finite."""
+
+
 class CaseMismatchError(AlleeWavesError, ValueError):
     """The requested case tag is inconsistent with the sign of lambda^2 - 4*mu."""
 

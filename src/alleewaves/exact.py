@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import CaseMismatchError, PoleError, SingularParameterError
+from .errors import CaseMismatchError, PoleError, PoleIndexError, SingularParameterError
 from .model import CaseKind, classify_case, discriminant
 
 SQRT2 = math.sqrt(2.0)
@@ -291,18 +291,27 @@ def eval_uv_masked(spec: SolutionSpec, x, t):
     return co.alpha1 * phi + co.alpha0, co.beta1 * phi + co.beta0, ok
 
 
+def _pole_index(spec: SolutionSpec, xi):
+    """The forms and q of spec's case and the real pole index n at each xi;
+    PoleIndexError names the first xi (NaN, or too far out) where n is not finite."""
+    forms, q = _forms(spec.case, spec.coeffs.lam, spec.coeffs.mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = forms.index(q, spec.c1, spec.c2, xi)
+    if not np.isfinite(n).all():
+        bad = float(np.asarray(xi, float)[~np.isfinite(n)].flat[0])
+        raise PoleIndexError(f"the pole index at xi={bad:.6g} is not finite")
+    return forms, q, n
+
+
 def find_singularities(spec: SolutionSpec, xi_lo, xi_hi):
     """Poles of the solution profile (closed-form zeros of A) in [xi_lo, xi_hi], sorted."""
     check_window("(xi_lo, xi_hi)", xi_lo, xi_hi)
-    co, c1, c2 = spec.coeffs, spec.c1, spec.c2
-    forms, q = _forms(spec.case, co.lam, co.mu)
-    ns = range(math.floor(forms.index(q, c1, c2, xi_lo)),
-               math.ceil(forms.index(q, c1, c2, xi_hi)) + 1)
-    return [x for x in (forms.zero(q, c1, c2, n) for n in ns) if xi_lo <= x <= xi_hi]
+    forms, q, n_lo = _pole_index(spec, xi_lo)
+    ns = range(math.floor(n_lo), math.ceil(_pole_index(spec, xi_hi)[2]) + 1)
+    return [x for x in (forms.zero(q, spec.c1, spec.c2, n) for n in ns) if xi_lo <= x <= xi_hi]
 
 
 def nearest_pole(spec: SolutionSpec, xi):
     """The pole of the solution profile nearest to each xi; NaN where it has none."""
-    co, c1, c2 = spec.coeffs, spec.c1, spec.c2
-    forms, q = _forms(spec.case, co.lam, co.mu)
-    return forms.zero(q, c1, c2, np.rint(forms.index(q, c1, c2, xi)))
+    forms, q, n = _pole_index(spec, xi)
+    return forms.zero(q, spec.c1, spec.c2, np.rint(n))

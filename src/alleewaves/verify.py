@@ -1,6 +1,8 @@
 """Independent residual checks for the closed-form solutions.
 
-Two deliberately different routes:
+ode_residual and pde_residual both evaluate the model's two rows (_rows) and
+build the same prey/predator report (_report); they differ only in how they
+take derivatives:
 
 * ode_residual / check_G_ode use fully analytic derivatives (via the Riccati
   identity phi' = -(mu + lam*phi + phi^2)), so any nonzero residual is a
@@ -63,20 +65,22 @@ class ResidualReport:
         return "\n".join(pairs)
 
 
-def _uv_derivatives(spec: SolutionSpec, xi):
-    co = spec.coeffs
-    p, dp, d2p = phi_derivatives(spec, xi)
-    return (co.alpha1 * p + co.alpha0, co.alpha1 * dp, co.alpha1 * d2p,
-            co.beta1 * p + co.beta0, co.beta1 * dp, co.beta1 * d2p)
-
-
-def _ode_rows(spec: SolutionSpec, u, up, upp, v, vp, vpp):
-    co = spec.coeffs
+def _rows(co, du, dv, u, v):
+    """The prey and predator rows of the model, each led by its derivative terms du, dv."""
     s = 1.0 / math.sqrt(co.delta)
-    r1 = (upp + co.c * up - co.beta_model * u + (co.k + s) * u * u
-          - u**3 - u * v)
-    r2 = vpp + co.c * vp + co.k * u * v - co.beta_model * v - co.delta * v**3
-    return r1, r2
+    return (du - co.beta_model * u + (co.k + s) * u * u - u**3 - u * v,
+            dv + co.k * u * v - co.beta_model * v - co.delta * v**3)
+
+
+def _report(r1, r2, where, weight, **fields) -> ResidualReport:
+    """Max |r|, where(its flat index) and sqrt(weight * sum r^2) of each row."""
+    rows = (r1, r2)
+    return ResidualReport(
+        eq_names=("prey", "predator"),
+        max_abs=tuple(float(np.max(np.abs(r))) for r in rows),
+        max_location=tuple(where(int(np.argmax(np.abs(r)))) for r in rows),
+        l2=tuple(float(np.sqrt(weight * np.sum(r * r))) for r in rows),
+        **fields)
 
 
 def ode_residual(spec: SolutionSpec, xi_lo, xi_hi, n_samples=2001) -> ResidualReport:
@@ -84,44 +88,32 @@ def ode_residual(spec: SolutionSpec, xi_lo, xi_hi, n_samples=2001) -> ResidualRe
     if n_samples < 16:
         raise ValueError("need n_samples >= 16")
     check_window("(xi_lo, xi_hi)", xi_lo, xi_hi)
-    xi = np.linspace(xi_lo, xi_hi, n_samples)
-    h = (xi_hi - xi_lo) / (n_samples - 1)
+    xi, h = np.linspace(xi_lo, xi_hi, n_samples, retstep=True)
     radius = max(10.0 * h, MIN_EXCLUSION_RADIUS)
     keep = ~(np.abs(xi - nearest_pole(spec, xi)) <= radius)  # NaN: no pole
     if not keep.any():
         raise AlleeWavesError("entire interval lies in pole-exclusion zones")
     xs = xi[keep]
-    derivs = _uv_derivatives(spec, xs)
-    r1, r2 = _ode_rows(spec, *derivs)
-    u = derivs[0]
+    co = spec.coeffs
+    p, dp, d2p = phi_derivatives(spec, xs)
+    u, v = co.alpha1 * p + co.alpha0, co.beta1 * p + co.beta0
+    r1, r2 = _rows(co, co.alpha1 * d2p + co.c * (co.alpha1 * dp),
+                   co.beta1 * d2p + co.c * (co.beta1 * dp), u, v)
     rel_scale = max(float(np.max(np.abs(u)) ** 3), 1.0)
-    i1, i2 = int(np.argmax(np.abs(r1))), int(np.argmax(np.abs(r2)))
-    return ResidualReport(
-        eq_names=("prey", "predator"),
-        max_abs=(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))),
-        max_location=(float(xs[i1]), float(xs[i2])),
-        l2=(float(np.sqrt(h * np.sum(r1 * r1))),
-            float(np.sqrt(h * np.sum(r2 * r2)))),
-        n_excluded=int(n_samples - keep.sum()),
-        exclusion_radius=radius,
-        extra=(("rel_max.prey", float(np.max(np.abs(r1))) / rel_scale),
-               ("rel_max.predator", float(np.max(np.abs(r2))) / rel_scale)),
-    )
+    return _report(r1, r2, lambda i: float(xs[i]), h,
+                   n_excluded=int(n_samples - keep.sum()), exclusion_radius=radius,
+                   extra=(("rel_max.prey", float(np.max(np.abs(r1))) / rel_scale),
+                          ("rel_max.predator", float(np.max(np.abs(r2))) / rel_scale)))
 
 
-def _fd1(f, h, axis):
-    """4th-order first derivative on the interior (2 points trimmed per side)."""
-    f = np.moveaxis(f, axis, 0)
-    d = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
-    return np.moveaxis(d, 0, axis)
+def _fd1(f, h):
+    """4th-order first derivative along the last axis (2 points trimmed per end)."""
+    return (f[:, :-4] - 8.0 * f[:, 1:-3] + 8.0 * f[:, 3:-1] - f[:, 4:]) / (12.0 * h)
 
 
-def _fd2(f, h, axis):
-    """4th-order second derivative on the interior."""
-    f = np.moveaxis(f, axis, 0)
-    d = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) \
-        / (12.0 * h * h)
-    return np.moveaxis(d, 0, axis)
+def _fd2(f, h):
+    """4th-order second derivative along the first axis (2 points trimmed per end)."""
+    return (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (12.0 * h * h)
 
 
 def pde_residual(spec: SolutionSpec, x_window, t_window, nx=401, nt=101) -> ResidualReport:
@@ -145,37 +137,16 @@ def pde_residual(spec: SolutionSpec, x_window, t_window, nx=401, nt=101) -> Resi
     if lo <= p <= hi:
         raise PoleError(min(max(p + co.c * t0, x0), x1), p)
 
-    x = np.linspace(x0, x1, nx)
-    t = np.linspace(t0, t1, nt)
-    hx = (x1 - x0) / (nx - 1)
-    ht = (t1 - t0) / (nt - 1)
+    x, hx = np.linspace(x0, x1, nx, retstep=True)
+    t, ht = np.linspace(t0, t1, nt, retstep=True)
     X, T = np.meshgrid(x, t, indexing="ij")
     u, v = eval_uv(spec, X, T)
 
-    it = slice(2, -2)
-    ui, vi = u[it, 2:-2], v[it, 2:-2]
-    ut = _fd1(u, ht, 1)[it, :]
-    vt = _fd1(v, ht, 1)[it, :]
-    uxx = _fd2(u, hx, 0)[:, 2:-2]
-    vxx = _fd2(v, hx, 0)[:, 2:-2]
-    s = 1.0 / math.sqrt(co.delta)
-    r1 = ut - (uxx - co.beta_model * ui + (co.k + s) * ui * ui - ui**3 - ui * vi)
-    r2 = vt - (vxx + co.k * ui * vi - co.beta_model * vi - co.delta * vi**3)
-
-    xi_, ti_ = x[2:-2], t[2:-2]
-
-    def loc(r):
-        i, j = np.unravel_index(int(np.argmax(np.abs(r))), r.shape)
-        return (float(xi_[i]), float(ti_[j]))
-
-    return ResidualReport(
-        eq_names=("prey", "predator"),
-        max_abs=(float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))),
-        max_location=(loc(r1), loc(r2)),
-        l2=(float(np.sqrt(hx * ht * np.sum(r1 * r1))),
-            float(np.sqrt(hx * ht * np.sum(r2 * r2)))),
-        extra=(("fd_truncation_scale", max(hx, ht) ** 4),),
-    )
+    inner = (slice(2, -2), slice(2, -2))
+    r1, r2 = _rows(co, _fd2(u, hx)[:, 2:-2], _fd2(v, hx)[:, 2:-2], u[inner], v[inner])
+    return _report(_fd1(u, ht)[2:-2] - r1, _fd1(v, ht)[2:-2] - r2,
+                   lambda i: (float(x[2 + i // (nt - 4)]), float(t[2 + i % (nt - 4)])),
+                   hx * ht, extra=(("fd_truncation_scale", max(hx, ht) ** 4),))
 
 
 def check_G_ode(case: CaseKind, lam, mu, c1, c2, xi_grid) -> ResidualReport:

@@ -70,6 +70,22 @@ class TestEval:
         assert err.startswith("error: lambda^2 - 4*mu overflows at lambda=1.41")
         assert "--alpha0 1e+200" in err
 
+    @pytest.mark.parametrize("values", [["--c2", "-1e-3"], ["--x-min", "-1e1", "--x-max", "1e1"]],
+                             ids=["c2", "window"])
+    def test_negative_e_notation_value(self, tmp_path, values):
+        # argparse took -1e-3 for an option and exited 2: "expected one argument"
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        pairs = [f"{flag}={val}" for flag, val in zip(values[::2], values[1::2])]
+        assert main(["eval", *FIG1, *values, "--out", str(spaced)]) == 0
+        assert main(["eval", *FIG1, *pairs, "--out", str(joined)]) == 0
+        assert (spaced / "eval.csv").read_bytes() == (joined / "eval.csv").read_bytes()
+
+    def test_option_like_value_still_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", *FIG1, "--c2", "-x", "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert "argument --c2: expected one argument" in capsys.readouterr().err
+
 
 class TestFigure:
     def test_figure1(self, tmp_path):
@@ -125,6 +141,12 @@ class TestVerify:
                        if line.startswith("max_abs.G_ode=")).split("=")[1])
         assert g < 1e-12
 
+    def test_too_few_samples_names_the_flag(self, tmp_path, capsys):
+        assert main(["verify", *FIG1, "--n-samples", "10", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error: --n-samples: n_samples must be an integer >= 16, got 10" in err
+        assert not (tmp_path / "out").exists()  # rejected before any work
+
 
 SIM_BASE = ["--family", "A", "--alpha0", "1.2", "--mu", "0.2", "--k", "5.9",
             "--delta", "3", "--c1", "10", "--c2", "20",
@@ -148,6 +170,13 @@ class TestSimulate:
         assert main(["simulate", *SIM_BASE, "--dt", "0.1",
                      "--t-end", "1", "--out", str(tmp_path)]) == 2
         assert "dt" in capsys.readouterr().err
+
+    def test_too_few_cells_names_the_flags(self, tmp_path, capsys):
+        argv = [*SIM_BASE[:-6], "--x-min", "-1", "--x-max", "1", "--dx", "0.5"]
+        assert main(["simulate", *argv, "--dt", "0.001", "--t-end", "0.01",
+                     "--out", str(tmp_path)]) == 2
+        assert ("error: --x-min -1.0, --x-max 1.0 and --dx 0.5 give a grid of 5 cells;"
+                " simulate needs at least 8") in capsys.readouterr().err
 
     def test_infinite_t_end_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", *SIM_BASE, "--dt", "0.004",

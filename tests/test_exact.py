@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from alleewaves.errors import (CaseMismatchError, PoleError,
-                               SingularParameterError)
+from alleewaves.errors import (AlleeWavesError, CaseMismatchError, PoleError,
+                               PoleIndexError, SingularParameterError)
 from alleewaves.exact import (SolutionSpec, derive_set_a, derive_set_b, eval_amplitude,
                               eval_phi, eval_uv, eval_uv_masked, find_singularities,
                               make_spec, nearest_pole, phi_derivatives)
@@ -442,6 +442,27 @@ class TestFindSingularities:
     def test_non_finite_window_rejected(self, spec, lo, hi):
         with pytest.raises(ValueError, match=r"\(xi_lo, xi_hi\) must have finite ends"):
             find_singularities(spec, lo, hi)
+
+    def test_overflowing_pole_index_is_a_typed_error(self):
+        # q*xi/pi overflowed on a finite window and math.floor raised OverflowError
+        spec = make_spec("A", 3.0, 1e12, 12.2, 2.0, c1=20.0, c2=-10.0)
+        with pytest.raises(PoleIndexError, match=r"pole index at xi=-1e\+303 is not finite"):
+            find_singularities(spec, -1e303, -0.999999e303)
+
+
+class TestNearestPole:
+    SPEC = make_spec("A", 3.0, 1e12, 12.2, 2.0, c1=20.0, c2=-10.0)
+
+    # the first three returned -inf, the array with a NumPy overflow warning
+    @pytest.mark.parametrize("xi, shown", [
+        (-1e303, r"-1e\+303"), (np.float64(-1e303), r"-1e\+303"),
+        (np.array([0.0, -1e303]), r"-1e\+303"), (math.nan, "nan"),
+    ], ids=["float", "numpy-scalar", "array", "nan"])
+    def test_non_finite_pole_index_is_a_typed_error(self, xi, shown):
+        with pytest.raises(PoleIndexError, match=f"pole index at xi={shown} is not finite") \
+                as info:
+            nearest_pole(self.SPEC, xi)
+        assert isinstance(info.value, AlleeWavesError) and isinstance(info.value, ValueError)
 
 
 @st.composite

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_sim import hyperbolic_fronts
 
 from alleewaves.errors import AlleeWavesError, PoleError
 from alleewaves.exact import eval_phi, eval_uv, make_spec, phi_derivatives
@@ -130,6 +132,25 @@ class TestPdeResidual:
         with pytest.raises(ValueError, match=re.escape(f"{name} must have finite ends in"
                                                        f" increasing order, got {window}")):
             pde_residual(fig1_spec(), windows["x_window"], windows["t_window"], 16, 16)
+
+
+@settings(max_examples=20, deadline=None)
+@given(front=hyperbolic_fronts())
+def test_both_routes_hold_the_exact_front_and_flag_a_shifted_beta(front):
+    # the ODE route is exact to rounding, the PDE route to its truncation
+    # error; beta + 1e-2 adds -1e-2*u and -1e-2*v to the two rows
+    spec, q = front
+    co = spec.coeffs
+    shifted = replace(spec, coeffs=replace(co, beta_model=co.beta_model + 1e-2))
+    half = 8.0 / q
+    ode, ode_shifted = (ode_residual(s, -half, half) for s in (spec, shifted))
+    assert max(val for _, val in ode.extra) < 1e-12  # rel_max.prey, rel_max.predator
+    u, v = eval_uv(spec, np.linspace(-half, half, 2001), 0.0)
+    assert ode_shifted.max_abs == pytest.approx((1e-2 * np.max(np.abs(u)),
+                                                 1e-2 * np.max(np.abs(v))), rel=1e-6)
+    t_window = (0.0, 1.0 / (q * (abs(co.c) + 1.0)))
+    pde, pde_shifted = (pde_residual(s, (-half, half), t_window) for s in (spec, shifted))
+    assert 10.0 * pde.worst <= pde_shifted.worst
 
 
 class TestCheckGOde:
