@@ -29,22 +29,18 @@ gives B as a quadratic in L.  Rows 3, 6 and 7 are then polynomials in L of
 degree <= 2 (row 6 is constant); their coefficients come from ``_rows`` at
 four L nodes by exact cubic interpolation, so each row stays written once.
 The real roots of those polynomials, filtered on all eight rows, are the
-candidates; MINPACK, through SciPy's ``least_squares``, polishes each
-distinct one and ``RESIDUAL_TOL`` decides.  The candidates are complete,
+candidates; ``least_squares`` polishes each distinct one by Gauss-Newton
+steps and ``RESIDUAL_TOL`` decides.  The candidates are complete,
 so an empty result proves that no admissible root passes RESIDUAL_TOL.  If
 all three polynomials vanish identically in a branch, L is free there and
 the roots are not isolated: ``NonIsolatedRootsError`` names the branch.
-
-Importing this module loads no SciPy.  The first polish imports
-``least_squares`` and binds it as the module global of that name, so only a
-root search (``solve_families``, the ``solve`` command) pays for SciPy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
+from collections import namedtuple
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -63,18 +59,10 @@ _NOISE = 1e-12
 # L nodes, and the map from values at them to cubic coefficients (highest power first)
 _NODES = np.arange(4.0)
 _FROM_NODES = np.linalg.inv(np.vander(_NODES))
-# MINPACK's ftol = xtol = gtol and its evaluation limit per polish
-_LM_TOL = 1e-15
-_MAX_NFEV = 400
-
-
-def __getattr__(name):
-    # PEP 562: SciPy's least_squares is bound as a module global on first use
-    if name == "least_squares":
-        global least_squares
-        from scipy.optimize import least_squares
-        return least_squares
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Gauss-Newton steps per polish, at most
+_GN_STEPS = 8
+# a polished point, its eight rows, and how many times the rows were evaluated
+_Polish = namedtuple("_Polish", "x fun nfev")
 
 
 @dataclass(frozen=True)
@@ -127,6 +115,32 @@ def _jac(y, k, d, mu, a0):
     exactly to rounding, with no cancellation, from ``_rows`` itself.
     """
     return _fun(y + 1e-30j * np.eye(6), k, d, mu, a0).imag.T * 1e30
+
+
+def least_squares(y, *args):
+    """Polish y = (a1, b1, b0, L, c, B) by at most _GN_STEPS undamped Gauss-Newton steps.
+
+    Each step solves J dy = -r in least squares (Nocedal & Wright, *Numerical
+    Optimization*, 2nd ed., section 10.3).  Returns the iterate of least row
+    norm as a ``_Polish``.  Stops early on a non-finite iterate, or once that
+    norm is below RESIDUAL_TOL and a step fails to lower it.
+    """
+    r = _fun(y, *args)
+    norm = np.linalg.norm(r)
+    best, nfev = (norm, y, r), 1
+    for _ in range(_GN_STEPS):
+        jac = _jac(y, *args)
+        if not (np.isfinite(norm) and np.isfinite(jac).all()):  # lstsq raises on NaN, hangs on inf
+            break
+        y = y - np.linalg.lstsq(jac, r, rcond=None)[0]
+        r = _fun(y, *args)
+        norm = np.linalg.norm(r)
+        nfev += 1
+        if norm < best[0]:
+            best = (norm, y, r)
+        elif best[0] < RESIDUAL_TOL:
+            break
+    return _Polish(best[1], best[2], nfev)
 
 
 def default_init_grid(alpha0, delta):
@@ -209,7 +223,7 @@ def solve_families(k, delta, mu, alpha0, init_grid=None):
 
     Unknowns are (alpha1, beta1, beta0, lambda, c, beta) with (k, delta, mu,
     alpha0) held fixed; 8 equations over 6 unknowns.  Each distinct
-    candidate from the elimination is polished by MINPACK through
+    candidate from the elimination is polished by Gauss-Newton steps in
     ``least_squares``, and so is each start of ``init_grid`` if one is given
     (starts that are not finite, or whose rows are not, are skipped).
     Returns the deduplicated ExpansionCoeffs roots with residual norm below
@@ -233,11 +247,9 @@ def solve_families(k, delta, mu, alpha0, init_grid=None):
             if np.isfinite(y0).all() and np.isfinite(_fun(y0, *args)).all():
                 starts.append(y0)
         roots = []
-        this = sys.modules[__name__]  # read least_squares as an attribute: __getattr__ loads it
         for y0 in starts:
-            res = this.least_squares(_fun, y0, jac=_jac, method="lm", args=args, xtol=_LM_TOL,
-                                     ftol=_LM_TOL, gtol=_LM_TOL, max_nfev=_MAX_NFEV)
-            if np.linalg.norm(_fun(res.x, *args)) < RESIDUAL_TOL:
+            res = least_squares(y0, *args)
+            if np.linalg.norm(res.fun) < RESIDUAL_TOL:
                 roots.append(res.x)
     return [ExpansionCoeffs(alpha1=a1, alpha0=alpha0, beta1=b1, beta0=b0, lam=L, mu=mu, c=c,
                             beta_model=B, k=k, delta=delta)

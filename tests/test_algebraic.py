@@ -230,15 +230,33 @@ class TestSolveFamilies:
     def test_polishes_each_distinct_root_once(self, monkeypatch):
         calls = []
 
-        def spy(fun, x0, **kw):
-            calls.append(np.array(x0))
-            return least_squares(fun, x0, **kw)
+        polish = alg.least_squares
+
+        def spy(y0, *args):
+            calls.append(np.array(y0))
+            return polish(y0, *args)
 
         monkeypatch.setattr(alg, "least_squares", spy)
         roots = solve_families(5.9, 3.0, 0.2, 1.2)
         assert len(calls) == len(roots) == 4
         for x0, r in zip(calls, roots):
             assert np.max(np.abs(x0 - _unknowns(r))) < 1e-8
+
+    def test_polish_stops_at_a_non_finite_point(self):
+        # lstsq raises on NaN rows and can hang on infinite ones
+        with np.errstate(all="ignore"):
+            for y0 in (np.full(6, np.nan), np.full(6, 1e120)):
+                res = alg.least_squares(y0, 5.9, 3.0, 0.2, 1.2)
+                assert res.x is y0 and res.nfev == 1
+
+    def test_large_beta_set_b_roots_are_kept(self):
+        # |beta| ~ 7e5: the polish must go on past a step that fails to lower
+        # the rows while they are still above RESIDUAL_TOL
+        par = dict(k=9.190165293753937, delta=7.744471217275776, mu=7.349889869732294,
+                   alpha0=0.017320317627389118)
+        roots = solve_families(**par)
+        assert len(roots) == 4
+        assert all(match_root(roots, t) is not None for _, t in closed_form_targets(**par))
 
     def test_root_order_is_stable(self):
         # Set A and Set B share a1 = +-sqrt(2), b1 and b0 here; rounding noise
@@ -298,3 +316,22 @@ def test_enumeration_is_complete(k, delta, mu, alpha0):
         # it: Set B's beta grows like 4 mu^2 / alpha0^2
         if np.linalg.norm(coeff_residuals(target).r) < 0.1 * RESIDUAL_TOL:
             assert match_root(roots, target) is not None, name
+
+
+@settings(max_examples=75, deadline=None)
+@given(k=st.floats(0.0, 10.0), delta=st.floats(0.2, 8.0), mu=st.floats(-2.0, 10.0),
+       alpha0=st.one_of(st.just(0.0), st.floats(1e-3, 5.0)))
+def test_polish_never_worsens_a_candidate(k, delta, mu, alpha0):
+    # over test_enumeration_is_complete's ranges: the polish returns a finite
+    # point whose rows are no larger than its start's, within 1 + 8 evaluations
+    args = (k, delta, mu, alpha0)
+    try:
+        starts = alg._distinct(alg._candidates(*args))
+    except NonIsolatedRootsError:
+        return
+    for y0 in starts:
+        res = alg.least_squares(y0, *args)
+        assert np.isfinite(res.x).all()
+        assert np.array_equal(res.fun, _fun(res.x, *args))
+        assert np.linalg.norm(res.fun) <= np.linalg.norm(_fun(y0, *args))
+        assert 1 <= res.nfev <= 9

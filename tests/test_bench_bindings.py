@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -43,9 +42,14 @@ def test_spanned_function_exists(mod_name, fn_name):
 
 
 def test_counted_names_exist():
+    # the tracer wraps sim.step and algebraic.least_squares, and reads the
+    # polish result's fun and nfev
     from alleewaves import algebraic, sim
     assert callable(sim.step)
-    assert algebraic.least_squares is scipy.optimize.least_squares
+    y0 = algebraic._distinct(algebraic._candidates(5.9, 3.0, 0.2, 1.2))[0]
+    res = algebraic.least_squares(y0, 5.9, 3.0, 0.2, 1.2)
+    assert res.x.shape == (6,) and res.fun.shape == (8,)
+    assert isinstance(res.nfev, int) and res.nfev >= 1
 
 
 def _bench_attribute_reads():

@@ -307,7 +307,8 @@ class TestSolve:
         assert "warning" not in out
 
     def test_former_no_root_draw(self, capsys):
-        # MINPACK from any of the 128 default_init_grid starts reaches no root here
+        # a local solver from any of the 128 default_init_grid starts reaches no root
+        # here; the elimination finds all four
         assert main(["solve", "--k", "7.92716605802171", "--delta", "4.425510927931301",
                      "--mu", "1.2872475159527776", "--alpha0", "1.5249218747823625"]) == 0
         out = capsys.readouterr().out

@@ -2,10 +2,10 @@
 
 ``sim.py`` is an independent check of the closed forms in ``exact.py``, so it
 must share no machinery with them, directly or through another module.
-``exact.py`` writes every pole in closed form and needs no SciPy solver.
-Only the polish of the root search in ``algebraic.py`` needs SciPy, so no
-module loads it on import, the package, ``algebraic`` and the CLI included:
-the first polish does, and binds ``algebraic.least_squares`` as it does.
+``exact.py`` writes every pole in closed form and needs no SciPy solver, and
+``algebraic.py`` polishes its roots by its own Gauss-Newton steps: the
+package runs on NumPy alone, so no module loads SciPy, on import or in a
+root search.
 """
 
 import ast
@@ -87,15 +87,19 @@ def test_import_loads_no_scipy(module):
 FIG1 = (5.9, 3.0, 0.2, 1.2)
 
 
-def test_first_polish_loads_and_binds_scipy():
+def test_root_search_loads_no_scipy():
+    # the polish is the package's own: a root search and the solve command
+    # run on NumPy alone
+    k, delta, mu, alpha0 = FIG1
     out = run_fresh(
-        "import sys\n"
-        "from alleewaves import algebraic\n"
-        "before = 'scipy.optimize' in sys.modules\n"
+        "import contextlib, io, sys\n"
+        "from alleewaves import algebraic, cli\n"
         f"algebraic.solve_families{FIG1}\n"
-        "import scipy.optimize\n"
-        "print(before, algebraic.least_squares is scipy.optimize.least_squares)\n")
-    assert out.split() == ["False", "True"]
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['solve', '--k', '{k}', '--delta', '{delta}', '--mu', '{mu}',"
+        f" '--alpha0', '{alpha0}'])\n"
+        "print(code, *(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert out.split() == ["0"]
 
 
 def test_tracer_installed_before_any_polish_counts_every_polish():
