@@ -198,9 +198,12 @@ _CASES = {
     # A = c1*sinh(q*xi) + c2*cosh(q*xi), q = sqrt(lam^2 - 4*mu)/2
     CaseKind.HYPERBOLIC: _Forms(
         amp=_hyperbolic_amp,
-        # tanh(q*xi) = -c2/c1 has a root only when |c2| < |c1|
+        # tanh(q*xi) = -c2/c1 has a root only when |c2| < |c1|, at
+        # e^(2*q*xi) = (c1 - c2)/(c1 + c2); atanh(-c2/c1) would round the
+        # ratio and lose the digits of a nearly cancelling c1 + c2
         zero=lambda q, c1, c2, n: (
-            math.atanh(-c2 / c1) / q if c1 != 0 and abs(c2) < abs(c1) else math.nan)),
+            0.5 * (math.log(abs(c1 - c2)) - math.log(abs(c1 + c2))) / q
+            if abs(c2) < abs(c1) else math.nan)),
     # A = c1*cos(q*xi) + c2*sin(q*xi), q = sqrt(4*mu - lam^2)/2
     CaseKind.TRIGONOMETRIC: _Forms(
         amp=_trigonometric_amp,

@@ -409,6 +409,16 @@ class TestFindSingularities:
                 lo = mid
         assert find_singularities(spec, -5, 5)[0] == pytest.approx(lo, abs=1e-12)
 
+    def test_hyperbolic_pole_of_nearly_cancelling_coefficients(self):
+        # c1 + c2 = 2**-49: the pole sits where e^(2*q*xi) = (c1 - c2)/(c1 + c2);
+        # atanh(-c2/c1) rounded the ratio and put it 0.034 too early
+        lam, mu, c1, c2 = 0.0, -3.0, 9.0, -8.999999999999998
+        q = math.sqrt(3.0)
+        expected = 0.5 * math.log((c1 - c2) / 2.0**-49) / q
+        assert c1 + c2 == 2.0**-49
+        got = find_singularities(spec_of(lam, mu, c1, c2), 0.0, 11.0)
+        assert len(got) == 1 and got[0] == pytest.approx(expected, rel=1e-14)
+
     def test_degenerate_pole(self):
         got = find_singularities(spec_of(2.0, 1.0, 1.0, 1.0), -5.0, 5.0)
         assert got == [pytest.approx(-1.0)]
