@@ -28,7 +28,10 @@ b0 = (w + k*a1) / (3*d*b1), and row 2 is linear in B with slope -a1, which
 gives B as a quadratic in L.  Rows 3, 6 and 7 are then polynomials in L of
 degree <= 2 (row 6 is constant); their coefficients come from ``_rows`` at
 four L nodes by exact cubic interpolation, so each row stays written once.
-The real roots of those polynomials, filtered on all eight rows, are the
+The four branches are evaluated together, as length-4 columns, so each
+stage evaluates the rows once for all of them.  The real roots of those
+polynomials, the eigenvalues of np.roots' companion matrices from one
+``eigvals`` call per matrix size, filtered on all eight rows, are the
 candidates; ``least_squares`` polishes each distinct one by Gauss-Newton
 steps and ``RESIDUAL_TOL`` decides.  The candidates are complete,
 so an empty result proves that no admissible root passes RESIDUAL_TOL.  If
@@ -59,6 +62,8 @@ _NOISE = 1e-12
 # L nodes, and the map from values at them to cubic coefficients (highest power first)
 _NODES = np.arange(4.0)
 _FROM_NODES = np.linalg.inv(np.vander(_NODES))
+# the signs of a1 (first row) and b1 in the four branches
+_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
 # Gauss-Newton steps per polish, at most
 _GN_STEPS = 8
 # a polished point, its eight rows, and how many times the rows were evaluated
@@ -112,9 +117,19 @@ def _jac(y, k, d, mu, a0):
     """Jacobian of the eight rows w.r.t. (a1, b1, b0, L, c, B), 8x6.
 
     The rows are polynomials, so a complex step of 1e-30 gives each column
-    exactly to rounding, with no cancellation, from ``_rows`` itself.
+    exactly to rounding, with no cancellation, from ``_rows`` itself.  The
+    step runs on Python scalars, one ``_rows`` call per column; where
+    Python's ``**`` overflows, the matrix is NaN.
     """
-    return _fun(y + 1e-30j * np.eye(6), k, d, mu, a0).imag.T * 1e30
+    y = y.tolist()
+    cols = []
+    try:
+        for j in range(6):
+            a1, b1, b0, L, c, B = y[:j] + [y[j] + 1e-30j] + y[j + 1:]
+            cols.append(_rows(a1, a0, b1, b0, L, mu, c, B, k, d))
+    except OverflowError:
+        return np.full((8, 6), np.nan)
+    return np.array(cols).imag.T * 1e30
 
 
 def least_squares(y, *args):
@@ -155,50 +170,56 @@ def default_init_grid(alpha0, delta):
     ]
 
 
-def _branch(a1, b1, k, d, mu, a0):
-    """The points where rows 0, 1, 2, 4 and 5 vanish in one sign branch, as a function of L."""
-    w = b1 - (k + 1.0 / math.sqrt(d)) * a1 + 3.0 * a1 * a0  # row 1 / a1: w = 3L - c
-    b0 = (w + k * a1) / (3.0 * d * b1)  # row 5 / b1
-
-    def at(L):
-        c = 3.0 * L - w
-        B = _rows(a1, a0, b1, b0, L, mu, c, 0.0, k, d)[2] / a1  # row 2 is (row 2 at B=0) - a1*B
-        return np.stack(np.broadcast_arrays(a1, b1, b0, L, c, B), axis=-1)
-    return at
-
-
 def _candidates(k, d, mu, a0):
-    """Every point (a1, b1, b0, L, c, B) with a1, b1 != 0 near which all eight rows vanish.
+    """The points (a1, b1, b0, L, c, B), a1, b1 != 0, near which all eight rows vanish, as rows.
 
     Raises SingularParameterError, before any branch is searched, when the
     rows' coefficients in L or their scale max(1, |y at the nodes|)^3 overflow.
     """
-    branches = []
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for a1, b1 in itertools.product((math.sqrt(2.0), -math.sqrt(2.0)),
-                                            (math.sqrt(2.0 / d), -math.sqrt(2.0 / d))):
-                at = _branch(a1, b1, k, d, mu, a0)
-                ys = at(_NODES)
-                branches.append((a1, b1, at, _FROM_NODES @ _fun(ys, k, d, mu, a0)[:, [3, 6, 7]],
-                                 max(1.0, np.max(np.abs(ys))) ** 3))
-        finite = all(np.isfinite(coeffs).all() and np.isfinite(scale)
-                     for *_, coeffs, scale in branches)
+            a1, b1 = math.sqrt(2.0) * _SIGNS[0], math.sqrt(2.0 / d) * _SIGNS[1]
+            w = b1 - (k + 1.0 / math.sqrt(d)) * a1 + 3.0 * a1 * a0  # row 1 / a1: w = 3L - c
+            b0 = (w + k * a1) / (3.0 * d * b1)  # row 5 / b1
+
+            def at(i, L):
+                """The points at L in branches i where rows 0, 1, 2, 4 and 5 vanish."""
+                c = 3.0 * L - w[i]
+                # row 2 is (row 2 at B=0) - a1*B
+                B = _rows(a1[i], a0, b1[i], b0[i], L, mu, c, 0.0, k, d)[2] / a1[i]
+                return np.stack([a1[i], b1[i], b0[i], L, c, B], axis=-1)
+
+            ys = at(np.repeat(np.arange(4), 4), np.tile(_NODES, 4)).reshape(4, 4, 6)
+            coeffs = _FROM_NODES @ _fun(ys, k, d, mu, a0)[..., [3, 6, 7]]  # (branch, power, row)
+            scale = np.maximum(1.0, np.max(np.abs(ys), axis=(1, 2))) ** 3
+        finite = np.isfinite(coeffs).all() and np.isfinite(scale).all()
     except OverflowError:  # Python's float ** raises where NumPy's returns inf
         finite = False
     if not finite:
         raise SingularParameterError(f"the coefficient rows overflow at k={k!r}, delta={d!r},"
                                      f" mu={mu!r}, alpha0={a0!r}")
-    out = []
-    for a1, b1, at, coeffs, scale in branches:
-        if np.all(np.abs(coeffs) <= _NOISE * scale):
-            raise NonIsolatedRootsError(a1, b1)
-        # leading coefficients at rounding level next to the largest would put roots near infinity
-        lead = np.argmax(np.abs(coeffs) > _NOISE * np.max(np.abs(coeffs), axis=0), axis=0)
-        ys = at(np.concatenate([np.roots(p[i:]).real for p, i in zip(coeffs.T, lead)]))
-        worst = np.max(np.abs(_fun(ys, k, d, mu, a0)), axis=-1)
-        out.extend(ys[worst <= _CANDIDATE_TOL * np.maximum(1.0, np.max(np.abs(ys), axis=-1)) ** 3])
-    return out
+    flat = np.all(np.abs(coeffs) <= _NOISE * scale[:, None, None], axis=(1, 2))
+    if flat.any():
+        raise NonIsolatedRootsError(*(float(x[np.argmax(flat)]) for x in (a1, b1)))
+    # one polynomial per (branch, row), highest power first; as np.roots does, exact
+    # trailing zeros give zero roots, and leading coefficients at rounding level next
+    # to the largest are dropped, which would put roots near infinity
+    p = coeffs.transpose(0, 2, 1).reshape(12, 4)
+    big = np.abs(p) > _NOISE * np.max(np.abs(p), axis=1, keepdims=True)
+    lead, last = np.argmax(big, axis=1), 3 - np.argmax(p[:, ::-1] != 0, axis=1)
+    size = np.where(big.any(axis=1), last - lead, 0)
+    roots = [np.zeros(3 - i) for i in last]
+    for n in set(size.tolist()) - {0}:
+        j = np.flatnonzero(size == n)
+        q = p[j[:, None], lead[j, None] + np.arange(n + 1)]
+        comp = np.zeros((len(j), n, n))  # np.roots' companion matrices, one eigvals call
+        comp[:, 0] = -q[:, 1:] / q[:, :1]
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        for jj, r in zip(j, np.linalg.eigvals(comp).real):
+            roots[jj] = np.concatenate([r, roots[jj]])
+    ys = at(np.repeat(np.arange(12) // 3, [len(r) for r in roots]), np.concatenate(roots))
+    worst = np.max(np.abs(_fun(ys, k, d, mu, a0)), axis=-1)
+    return ys[worst <= _CANDIDATE_TOL * np.maximum(1.0, np.max(np.abs(ys), axis=-1)) ** 3]
 
 
 def _distinct(ys):
@@ -209,13 +230,15 @@ def _distinct(ys):
     nonzero.  The order is lexicographic on components rounded to 1e-9, so
     rounding noise in the shared a1 = +-sqrt(2) cannot decide it.
     """
-    ys = sorted((y for y in ys if abs(y[0]) > 1e-6 and abs(y[1]) > 1e-6),
-                key=lambda y: tuple(np.round(y, 9)))
+    ys = np.reshape(ys, (-1, 6))
+    ys = ys[(np.abs(ys[:, 0]) > 1e-6) & (np.abs(ys[:, 1]) > 1e-6)]
+    ys = ys[np.lexsort(np.round(ys, 9).T[::-1])]
+    far = np.max(np.abs(ys[:, None] - ys), axis=-1) > DEDUP_TOL
     kept = []
-    for y in ys:
-        if all(np.max(np.abs(y - z)) > DEDUP_TOL for z in kept):
-            kept.append(y)
-    return kept
+    for j in range(len(ys)):
+        if far[j, kept].all():
+            kept.append(j)
+    return list(ys[kept])
 
 
 def solve_families(k, delta, mu, alpha0, init_grid=None):

@@ -294,6 +294,10 @@ def eval_uv_masked(spec: SolutionSpec, x, t):
     return co.alpha1 * phi + co.alpha0, co.beta1 * phi + co.beta0, ok
 
 
+# find_singularities lists the poles of at most this many indices
+MAX_POLE_INDICES = 10**7
+
+
 def _pole_index(spec: SolutionSpec, xi):
     """The forms and q of spec's case and the real pole index n at each xi;
     PoleIndexError names the first xi (NaN, or too far out) where n is not finite."""
@@ -307,10 +311,18 @@ def _pole_index(spec: SolutionSpec, xi):
 
 
 def find_singularities(spec: SolutionSpec, xi_lo, xi_hi):
-    """Poles of the solution profile (closed-form zeros of A) in [xi_lo, xi_hi], sorted."""
+    """Poles of the solution profile (closed-form zeros of A) in [xi_lo, xi_hi], sorted.
+
+    A window spanning more than MAX_POLE_INDICES pole indices raises
+    PoleIndexError instead of listing them; nearest_pole reads any one pole.
+    """
     check_window("(xi_lo, xi_hi)", xi_lo, xi_hi)
     forms, q, n_lo = _pole_index(spec, xi_lo)
     ns = range(math.floor(n_lo), math.ceil(_pole_index(spec, xi_hi)[2]) + 1)
+    if len(ns) > MAX_POLE_INDICES:
+        raise PoleIndexError(f"the window [{xi_lo:.6g}, {xi_hi:.6g}] spans {len(ns)} pole"
+                             f" indices, more than {MAX_POLE_INDICES}; nearest_pole finds"
+                             " the pole nearest any xi")
     return [x for x in (forms.zero(q, spec.c1, spec.c2, n) for n in ns) if xi_lo <= x <= xi_hi]
 
 

@@ -1,10 +1,11 @@
+import itertools
 import math
 import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
@@ -72,6 +73,61 @@ def reference_solve_families(k, delta, mu, alpha0, init_grid=None):
             lam=L, mu=mu, c=c, beta_model=B, k=k, delta=delta,
         ))
     return out
+
+
+def reference_candidates(k, d, mu, a0):
+    """The per-branch loop: each sign branch's nodes, rows and np.roots calls on their own."""
+    def branch(a1, b1):
+        w = b1 - (k + 1.0 / math.sqrt(d)) * a1 + 3.0 * a1 * a0
+        b0 = (w + k * a1) / (3.0 * d * b1)
+
+        def at(L):
+            c = 3.0 * L - w
+            B = alg._rows(a1, a0, b1, b0, L, mu, c, 0.0, k, d)[2] / a1
+            return np.stack(np.broadcast_arrays(a1, b1, b0, L, c, B), axis=-1)
+        return at
+
+    branches = []
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a1, b1 in itertools.product((math.sqrt(2.0), -math.sqrt(2.0)),
+                                            (math.sqrt(2.0 / d), -math.sqrt(2.0 / d))):
+                at = branch(a1, b1)
+                ys = at(alg._NODES)
+                branches.append((a1, b1, at, alg._FROM_NODES @ _fun(ys, k, d, mu, a0)[:, [3, 6, 7]],
+                                 max(1.0, np.max(np.abs(ys))) ** 3))
+        finite = all(np.isfinite(coeffs).all() and np.isfinite(scale)
+                     for *_, coeffs, scale in branches)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SingularParameterError(f"the coefficient rows overflow at k={k!r}, delta={d!r},"
+                                     f" mu={mu!r}, alpha0={a0!r}")
+    out = []
+    for a1, b1, at, coeffs, scale in branches:
+        if np.all(np.abs(coeffs) <= alg._NOISE * scale):
+            raise NonIsolatedRootsError(a1, b1)
+        lead = np.argmax(np.abs(coeffs) > alg._NOISE * np.max(np.abs(coeffs), axis=0), axis=0)
+        ys = at(np.concatenate([np.roots(p[i:]).real for p, i in zip(coeffs.T, lead)]))
+        worst = np.max(np.abs(_fun(ys, k, d, mu, a0)), axis=-1)
+        size = np.maximum(1.0, np.max(np.abs(ys), axis=-1))
+        out.extend(ys[worst <= alg._CANDIDATE_TOL * size ** 3])
+    return out
+
+
+def reference_distinct(ys):
+    """The sort-and-loop form of ``_distinct``."""
+    ys = sorted((y for y in ys if abs(y[0]) > 1e-6 and abs(y[1]) > 1e-6),
+                key=lambda y: tuple(np.round(y, 9)))
+    kept = []
+    for y in ys:
+        if all(np.max(np.abs(y - z)) > DEDUP_TOL for z in kept):
+            kept.append(y)
+    return kept
+
+
+def _same_points(a, b):
+    return len(a) == len(b) and all(np.array_equal(y, z) for y, z in zip(a, b))
 
 
 def _unknowns(r):
@@ -335,3 +391,70 @@ def test_polish_never_worsens_a_candidate(k, delta, mu, alpha0):
         assert np.array_equal(res.fun, _fun(res.x, *args))
         assert np.linalg.norm(res.fun) <= np.linalg.norm(_fun(y0, *args))
         assert 1 <= res.nfev <= 9
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.floats(0.0, 10.0), delta=st.floats(0.2, 8.0), mu=st.floats(-2.0, 10.0),
+       alpha0=st.one_of(st.just(0.0), st.floats(1e-3, 5.0)))
+@example(k=1.0, delta=1.0, mu=0.0, alpha0=0.0)  # not isolated in the (+, +) branch
+@example(k=1.0, delta=1.0, mu=0.5, alpha0=0.5)  # trailing zeros: np.roots adds zero roots
+@example(k=1.0, delta=2.0, mu=0.5, alpha0=1e110)  # Python's float ** overflows
+@example(k=1.0, delta=1e-300, mu=0.5, alpha0=0.7)  # b1**3: raises, or inf in one pass
+def test_candidates_match_reference_loop(k, delta, mu, alpha0):
+    # the four branches in one pass and one eigvals call per companion size give
+    # bit for bit, and in the same order, the candidates of the per-branch np.roots
+    # loop, or the same error
+    args = (k, delta, mu, alpha0)
+    try:
+        ref = reference_candidates(*args)
+    except (NonIsolatedRootsError, SingularParameterError) as exc:
+        with pytest.raises(type(exc)) as got:
+            alg._candidates(*args)
+        assert (got.value.args, vars(got.value)) == (exc.args, vars(exc))
+        return
+    got = alg._candidates(*args)
+    assert _same_points(list(got), ref)
+    assert _same_points(alg._distinct(got), alg._distinct(ref))
+
+
+@settings(max_examples=75, deadline=None)
+@given(k=st.floats(0.0, 10.0), delta=st.floats(0.2, 8.0), mu=st.floats(-2.0, 10.0),
+       alpha0=st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
+       shift=st.floats(-0.1, 0.1))
+def test_scalar_jacobian_matches_array_complex_step(k, delta, mu, alpha0, shift):
+    # the complex step on Python scalars, column by column, agrees with the
+    # same step on a (6, 6) complex array to rounding of each column's largest entry
+    args = (k, delta, mu, alpha0)
+    try:
+        starts = alg._distinct(alg._candidates(*args))
+    except NonIsolatedRootsError:
+        return
+    for y in starts:
+        for z in (y, y * (1.0 + shift) + shift):
+            ref = _fun(z + 1e-30j * np.eye(6), *args).imag.T * 1e30
+            assert np.all(np.abs(_jac(z, *args) - ref) <= 16 * EPS * np.max(np.abs(ref), axis=0))
+
+
+def test_jacobian_of_overflowing_rows_is_not_finite():
+    # Python's ** raises OverflowError where NumPy's returns inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jac = _jac(np.full(6, 1e120), 5.9, 3.0, 0.2, 1.2)
+    assert jac.shape == (8, 6) and not np.isfinite(jac).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.lists(st.sampled_from([-1.5, -1e-7, 0.0, 1e-7, 0.3, 1.5]), min_size=6, max_size=6),
+    st.integers(0, 5), st.sampled_from([0.0, 1e-12, 3e-7, 1e-6, 2e-6, 1e-3])), max_size=8))
+def test_distinct_matches_sort_and_loop(clusters):
+    # clusters of points with near-duplicates one component apart, ties after
+    # rounding to 1e-9, and inadmissible a1 or b1 near 0
+    ys = []
+    for centre, j, offset in clusters:
+        y = np.array(centre)
+        z = y.copy()
+        z[j] += offset
+        ys += [y, z]
+    assert _same_points(alg._distinct(ys), reference_distinct(ys))
+    assert _same_points(alg._distinct(np.array(ys).reshape(-1, 6)), reference_distinct(ys))

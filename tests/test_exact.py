@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import alleewaves.exact as exact
 from alleewaves.errors import (AlleeWavesError, CaseMismatchError, PoleError,
                                PoleIndexError, SingularParameterError)
 from alleewaves.exact import (SolutionSpec, derive_set_a, derive_set_b, eval_amplitude,
@@ -459,6 +461,23 @@ class TestFindSingularities:
         with pytest.raises(PoleIndexError, match=r"pole index at xi=-1e\+303 is not finite"):
             find_singularities(spec, -1e303, -0.999999e303)
 
+    def test_window_with_too_many_poles_is_a_typed_error(self):
+        # +-1e12 on the figure-2 spec (period 7.11) spans 2.8e11 pole indices;
+        # listing their poles would exhaust memory
+        start = time.perf_counter()
+        with pytest.raises(PoleIndexError, match=r"the window \[-1e\+12, 1e\+12\] spans"
+                                                 r" 281123679618 pole indices"):
+            find_singularities(fig2_spec(), -1e12, 1e12)
+        assert time.perf_counter() - start < 0.1
+
+    def test_pole_index_bound(self, monkeypatch):
+        # eight periods of the figure-2 spec span nine or ten pole indices
+        spec = fig2_spec()
+        monkeypatch.setattr(exact, "MAX_POLE_INDICES", 10)
+        assert len(find_singularities(spec, 0.0, 8 * spec.period)) >= 8
+        monkeypatch.setattr(exact, "MAX_POLE_INDICES", 8)
+        with pytest.raises(PoleIndexError, match="indices, more than 8;"):
+            find_singularities(spec, 0.0, 8 * spec.period)
 
 class TestNearestPole:
     SPEC = make_spec("A", 3.0, 1e12, 12.2, 2.0, c1=20.0, c2=-10.0)
