@@ -8,7 +8,8 @@ Subcommands:
     solve     rediscover the coefficient families numerically
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error
-(also a bad path), 3 numerical failure (blow-up / no convergence / pole).
+(also a bad path), 3 numerical failure (blow-up / no convergence / pole /
+a non-finite sample or residual).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .algebraic import closed_form_targets, deviation, match_root, solve_families
-from .errors import (AlleeWavesError, BlowUpError, CaseMismatchError, PoleError,
-                     SingularParameterError, StabilityError, TrackingError)
+from .errors import (AlleeWavesError, BlowUpError, CaseMismatchError, NonFiniteError,
+                     PoleError, SingularParameterError, StabilityError, TrackingError)
 from .exact import FAMILIES, eval_uv_masked, find_singularities, make_spec, nearest_pole
 from .model import CaseKind, discriminant
 from .output import FLOAT_FMT, write_csv, write_svg
@@ -183,13 +184,18 @@ def _join_negative_values(argv):
     return args
 
 
-def build_parser():
+def build_parser(argv=()):
+    """The parser of every command, with flags only for the first token of argv
+    that names one (or for all, when none does: --help, --version, no argv)."""
     p = argparse.ArgumentParser(prog="alleewaves",
                                 description=__doc__.split("\n\n")[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="cmd", required=True)
+    invoked = next((tok for tok in argv if tok in COMMANDS), None)
     for cmd, (_, text) in COMMANDS.items():
         sp = sub.add_parser(cmd, help=text)
+        if invoked not in (None, cmd):
+            continue
         if cmd == "simulate":
             sp.add_argument("--config", help="flat key=value file; flags override")
         for par in (p for p in PARAMS if cmd in p.defaults):
@@ -297,8 +303,8 @@ def cmd_verify(par, out) -> int:
     grep = check_G_ode(spec.case, spec.coeffs.lam, spec.coeffs.mu,
                        par["c1"], par["c2"], grid)
     failures = [name for name, mx in zip(rep.eq_names, rep.max_abs)
-                if mx > par["tol"]]
-    if grep.max_abs[0] > par["tol_g"]:
+                if not mx <= par["tol"]]  # so NaN never passes
+    if not grep.max_abs[0] <= par["tol_g"]:
         failures.append("G_ode")
 
     status = "PASS" if not failures else "FAIL: " + ", ".join(failures)
@@ -423,14 +429,15 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+    ns = build_parser(argv).parse_args(argv)
     out = Path(ns.out) if "out" in ns else None
     try:
         par = resolve(ns)
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[ns.cmd][0](par, out)
-    except (BlowUpError, PoleError, TrackingError) as exc:
+    except (BlowUpError, NonFiniteError, PoleError, TrackingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (StabilityError, ValueError, OSError) as exc:

@@ -36,6 +36,10 @@ class CaseMismatchError(AlleeWavesError, ValueError):
                          f" ({actual.value})")
 
 
+class NonFiniteError(AlleeWavesError):
+    """A sample or residual that leaves the library is not finite (NaN or inf)."""
+
+
 class StabilityError(AlleeWavesError):
     """Time step violates the explicit diffusion or reaction stability bound."""
 

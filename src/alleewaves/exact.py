@@ -36,7 +36,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import CaseMismatchError, PoleError, PoleIndexError, SingularParameterError
+from .errors import (CaseMismatchError, NonFiniteError, PoleError, PoleIndexError,
+                     SingularParameterError)
 from .model import CaseKind, classify_case, discriminant
 
 SQRT2 = math.sqrt(2.0)
@@ -157,6 +158,20 @@ def check_window(name, lo, hi):
         raise ValueError(f"{name} must have finite ends in increasing order, got ({lo}, {hi})")
 
 
+def require_finite(xi, values: dict, where=True):
+    """NonFiniteError naming the first xi, and the first of values (name -> array
+    shaped like xi) there, that is not finite; samples where `where` is False
+    do not count."""
+    finite = {name: np.isfinite(val) for name, val in values.items()}
+    if all(ok.all() for ok in finite.values()):
+        return
+    bad = np.ravel(where & ~np.logical_and.reduce(list(finite.values())))
+    if bad.any():
+        i = int(np.argmax(bad))
+        name = next(name for name, ok in finite.items() if not np.ravel(ok)[i])
+        raise NonFiniteError(f"{name} is not finite at xi={np.ravel(xi)[i]:.6g}")
+
+
 def _hyperbolic_amp(q, c1, c2, xi):
     # A = (P*e^(q*xi) + M*e^(-q*xi))/2, so A/s = h + d*tanh(q*xi - theta) with
     # e^(2*theta) = |M/P|: constant unless sign P != sign M, when A has a zero
@@ -248,14 +263,18 @@ def _phi(spec: SolutionSpec, xi):
     """phi and a validity mask (False where the pole floor is hit).
 
     The exponential prefactor of G and the scale s cancel in phi = G'/G,
-    which leaves phi = -lam/2 + A'/A on the bounded amplitude.
+    which leaves phi = -lam/2 + A'/A on the bounded amplitude.  The mask
+    means "near a pole" and nothing else: an unmasked phi that is not
+    finite (A' overflowed, say) raises NonFiniteError.
     """
     co = spec.coeffs
     forms, q = _forms(spec.case, co.lam, co.mu)
-    A, Ap, _ = forms.amp(q, spec.c1, spec.c2, np.asarray(xi, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    xi = np.asarray(xi, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        A, Ap, _ = forms.amp(q, spec.c1, spec.c2, xi)
         phi = -0.5 * co.lam + Ap / A
-    ok = np.abs(A) >= POLE_FLOOR * (abs(spec.c1) + abs(spec.c2))
+    ok = ~(np.abs(A) < POLE_FLOOR * (abs(spec.c1) + abs(spec.c2)))
+    require_finite(xi, {"phi": phi}, where=ok)
     return phi, ok
 
 

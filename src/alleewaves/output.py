@@ -11,8 +11,13 @@ over the joined row templates and the flat cell values formats the block.
 A masked row's template prints x and swallows its other cells with
 ``%.0s``.
 ``_svg_path`` maps the finite samples to pixels as arrays, with the same
-IEEE operations in the same order as the scalar form, and joins them in one
-pass.  The bytes written are the same as those of the cell-by-cell form.
+IEEE operations in the same order as the scalar form, and formats them with
+one ``%``: the template joins one ``M%.2f,%.2f`` or ``L%.2f,%.2f`` per point
+(``_PENS``, picked by whether the pen lifts there), over the flat (x, y)
+pixel pairs.  The bytes written are the same as those of the cell-by-cell
+form.  ``write_svg`` clips its y-range with ``_percentiles``, NumPy's
+linear-method percentile bit for bit (one partition, then NumPy's lerp),
+because ``np.percentile`` imports ``numpy.ma`` on its first call.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import numpy as np
 
 FLOAT_FMT = "%.17g"
 _ROW_BLOCK = 256  # rows formatted per write: keeps peak memory flat
+_PENS = ("L%.2f,%.2f", "M%.2f,%.2f")  # one SVG point, indexed by pen-up
 
 
 def _fmt(val) -> str:
@@ -94,10 +100,21 @@ def _svg_path(xs, ys, x_to_px, y_to_px):
     finite = np.isfinite(xs) & np.isfinite(ys)
     # the pen lifts at the first sample and after every non-finite one
     pen_up = np.concatenate(([True], ~finite))[:-1][finite]
-    pens = np.where(pen_up, "M", "L").tolist()
-    px, py = x_to_px(xs[finite]).tolist(), y_to_px(ys[finite]).tolist()
-    fmt = " ".join(["%s%.2f,%.2f"] * len(pens))
-    return fmt % tuple(chain.from_iterable(zip(pens, px, py)))
+    fmt = " ".join([_PENS[up] for up in pen_up.tolist()])
+    xy = np.column_stack((x_to_px(xs[finite]), y_to_px(ys[finite])))
+    return fmt % tuple(xy.ravel().tolist())
+
+
+def _percentiles(a, qs):
+    """np.percentile(a, qs) of a finite 1-D array, bit for bit, by NumPy's own
+    steps (the linear method): one partition at the bracketing ranks, then its
+    lerp.  np.percentile itself imports numpy.ma, through np.unique."""
+    v = (len(a) - 1) * (np.asarray(qs, dtype=float) / 100)
+    lo = np.where(v >= len(a) - 1, -1, np.floor(v)).astype(np.intp)
+    hi = np.where(lo < 0, -1, lo + 1)
+    s = np.partition(a, sorted({0, -1, *lo.tolist(), *hi.tolist()}))  # NumPy's kth
+    a, b, t = s[lo], s[hi], v - lo
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
 def write_svg(path, x, series, labels, dashed, title=""):
@@ -115,7 +132,7 @@ def write_svg(path, x, series, labels, dashed, title=""):
     finite = np.concatenate([s[np.isfinite(s)] for s in series])
     if finite.size == 0:
         raise ValueError("nothing to plot")
-    y_lo, y_hi = np.percentile(finite, [1.0, 99.0])
+    y_lo, y_hi = _percentiles(finite, [1.0, 99.0])
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AlleeWavesError, PoleError
 from .exact import (SolutionSpec, check_window, eval_amplitude, eval_uv, nearest_pole,
-                    phi_derivatives)
+                    phi_derivatives, require_finite)
 from .model import CaseKind
 
 MIN_EXCLUSION_RADIUS = 1e-3
@@ -84,7 +84,10 @@ def _report(r1, r2, where, weight, **fields) -> ResidualReport:
 
 
 def ode_residual(spec: SolutionSpec, xi_lo, xi_hi, n_samples=2001) -> ResidualReport:
-    """Residuals of the traveling-wave ODE system on a pole-excluded grid."""
+    """Residuals of the traveling-wave ODE system on a pole-excluded grid.
+
+    NonFiniteError names the first xi where u, v or a row is not finite.
+    """
     if n_samples < 16:
         raise ValueError("need n_samples >= 16")
     check_window("(xi_lo, xi_hi)", xi_lo, xi_hi)
@@ -95,10 +98,13 @@ def ode_residual(spec: SolutionSpec, xi_lo, xi_hi, n_samples=2001) -> ResidualRe
         raise AlleeWavesError("entire interval lies in pole-exclusion zones")
     xs = xi[keep]
     co = spec.coeffs
-    p, dp, d2p = phi_derivatives(spec, xs)
-    u, v = co.alpha1 * p + co.alpha0, co.beta1 * p + co.beta0
-    r1, r2 = _rows(co, co.alpha1 * d2p + co.c * (co.alpha1 * dp),
-                   co.beta1 * d2p + co.c * (co.beta1 * dp), u, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, dp, d2p = phi_derivatives(spec, xs)
+        u, v = co.alpha1 * p + co.alpha0, co.beta1 * p + co.beta0
+        r1, r2 = _rows(co, co.alpha1 * d2p + co.c * (co.alpha1 * dp),
+                       co.beta1 * d2p + co.c * (co.beta1 * dp), u, v)
+    # a non-finite u or v makes both rows non-finite at the same xi
+    require_finite(xs, {"the prey row": r1, "the predator row": r2})
     rel_scale = max(float(np.max(np.abs(u)) ** 3), 1.0)
     return _report(r1, r2, lambda i: float(xs[i]), h,
                    n_excluded=int(n_samples - keep.sum()), exclusion_radius=radius,
@@ -155,16 +161,13 @@ def check_G_ode(case: CaseKind, lam, mu, c1, c2, xi_grid) -> ResidualReport:
     G, G' and G'' are formed divided by E*s, E = exp(-lam*xi/2), from the
     case's bounded amplitude (A, A', A'')/s, so no finite window overflows;
     A'' comes from the case formula, never from the ODE.  The residual is
-    normalized by max|A/s| on the grid.  Raises AlleeWavesError where the
+    normalized by max|A/s| on the grid.  Raises NonFiniteError where the
     amplitude is not finite, as at a non-finite xi.
     """
     xi = np.asarray(xi_grid, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         A, Ap, App = eval_amplitude(case, lam, mu, c1, c2, xi)
-    finite = np.isfinite(A) & np.isfinite(Ap) & np.isfinite(App)
-    if not finite.all():
-        raise AlleeWavesError(f"G or its derivatives are not finite at"
-                              f" xi={xi[~finite][0]:.6g}")
+    require_finite(xi, {"G": A, "G'": Ap, "G''": App})
     # G'/(E*s) and G''/(E*s) by the chain rule; G/(E*s) is A
     Gp = Ap - 0.5 * lam * A
     Gpp = App - lam * Ap + 0.25 * lam * lam * A

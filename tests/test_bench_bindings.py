@@ -101,3 +101,18 @@ def test_bench_argv_passes_the_cli_resolver(tmp_path):
     assert [argv[0] for argv in argvs] == ["simulate"] * 4 + ["figure"] * 3 + ["verify"]
     for argv in argvs:
         cli.resolve(cli.build_parser().parse_args(argv))
+
+
+def test_bench_argv_resolves_alike_from_the_one_command_parser(tmp_path):
+    # main parses with build_parser(argv), which adds only the invoked
+    # command's flags; the full parser must read each bench argv the same
+    from alleewaves import cli
+    workloads = _load_bench("workloads")
+    par = workloads.Front.draw(np.random.default_rng(0))
+    argvs = [workloads.Front().simulate_argv(par, dx, dt, tmp_path)
+             for dx, dt in workloads.FRONT_GRIDS]
+    ops = workloads.Profiles().make_pass(np.random.default_rng(0), tmp_path)
+    argvs += [op.call.args[0] for op in ops if op.call.func is workloads._cli]
+    for argv in argvs:
+        assert (cli.resolve(cli.build_parser(argv).parse_args(argv))
+                == cli.resolve(cli.build_parser().parse_args(argv)))

@@ -1,14 +1,16 @@
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from alleewaves.cli import COMMANDS, FIGURES, PARAMS, main
+from alleewaves.cli import COMMANDS, FIGURES, PARAMS, build_parser, main
 from alleewaves.exact import eval_uv_masked, make_spec
 from alleewaves.output import read_csv
 
@@ -146,6 +148,42 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "error: --n-samples: n_samples must be an integer >= 16, got 10" in err
         assert not (tmp_path / "out").exists()  # rejected before any work
+
+
+def run_quiet(argv):
+    """(exit code, warnings) of main(argv), with every warning recorded, none raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, [str(w.message) for w in caught]
+
+
+class TestNonFinite:
+    """A non-finite sample or residual is a numerical failure, never an answer."""
+
+    def test_nan_residual_never_passes(self, tmp_path, capsys):
+        # u**3 overflows in the prey row, so both rows were NaN and PASSed
+        code, caught = run_quiet([
+            "verify", "--family", "A", "--branch", "lower", "--alpha0", "-1e150",
+            "--mu", "-1e-150", "--k", "0.6541924612081553", "--delta", "2.6136175372372232",
+            "--c1", "1e-300", "--c2", "-11.789830727053094", "--xi-min", "-12.76",
+            "--xi-max", "5.38", "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 3 and caught == []
+        assert err == "numerical failure: the prey row is not finite at xi=-12.76\n"
+        assert "PASS" not in out and not (tmp_path / "verify_report.txt").exists()
+
+    def test_overflowed_sample_is_not_written(self, tmp_path, capsys):
+        # A' overflows where A does not, so every row was written as -inf,-inf,0
+        code, caught = run_quiet([
+            "eval", "--family", "A", "--alpha0", "1e-100", "--mu", "-1e300",
+            "--k", "3.1047126486809624", "--delta", "5.437926657808131", "--c1", "1e200",
+            "--c2", "18.66259793362022", "--x-min", "-18.77", "--x-max", "-16.88",
+            "--n", "5", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3 and caught == [] and "Warning" not in err
+        assert err == "numerical failure: phi is not finite at xi=-18.77\n"
+        assert not (tmp_path / "eval.csv").exists()
 
 
 SIM_BASE = ["--family", "A", "--alpha0", "1.2", "--mu", "0.2", "--k", "5.9",
@@ -492,3 +530,35 @@ def test_verify_report_replays_from_its_parameters(tmp_path):
     params = lines[lines.index("failed_equations=") + 1:]
     replay(dict(line.split("=", 1) for line in ["command=verify", *params]), second)
     same_files(first, second)
+
+
+def help_text(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+PARAM_FLAGS = {p.flag for p in PARAMS if p.flag.startswith("--")}
+
+
+class TestOneCommandParser:
+    """main builds flags only for the command it runs; --help still shows all."""
+
+    def test_help_lists_every_command(self, capsys):
+        text = help_text(capsys, ["--help"])
+        assert "{" + ",".join(COMMANDS) + "}" in text
+        for cmd, (_, summary) in COMMANDS.items():
+            assert re.search(rf"^ +{cmd} +{summary}$", text, re.MULTILINE), cmd
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_command_help_lists_its_flags(self, capsys, cmd):
+        shown = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", help_text(capsys, [cmd, "--help"])))
+        assert shown & PARAM_FLAGS == {p.flag for p in PARAMS
+                                       if cmd in p.defaults and p.flag in PARAM_FLAGS}
+
+    def test_other_commands_get_no_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser(["figure"]).parse_args(["eval", "--n", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n 3" in capsys.readouterr().err

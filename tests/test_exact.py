@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import alleewaves.exact as exact
-from alleewaves.errors import (AlleeWavesError, CaseMismatchError, PoleError,
-                               PoleIndexError, SingularParameterError)
+from alleewaves.errors import (AlleeWavesError, CaseMismatchError, NonFiniteError,
+                               PoleError, PoleIndexError, SingularParameterError)
 from alleewaves.exact import (SolutionSpec, derive_set_a, derive_set_b, eval_amplitude,
                               eval_phi, eval_uv, eval_uv_masked, find_singularities,
                               make_spec, nearest_pole, phi_derivatives)
@@ -337,6 +337,19 @@ class TestEvalUV:
             x = rng.uniform(2, 8, 200)
             u, v = eval_uv(spec, x, 0.5)
             np.testing.assert_allclose(v * math.sqrt(3.0), u, rtol=1e-14)
+
+    def test_non_finite_sample_is_never_masked(self):
+        # the mask means "near a pole": a NaN amplitude was masked as one
+        with pytest.raises(NonFiniteError, match=r"^phi is not finite at xi=nan$"):
+            eval_uv_masked(fig1_spec(), np.array([0.0, math.nan]), 0.0)
+
+    def test_overflowed_derivative_raises(self):
+        # A' = q*(d + h*T) overflows where A does not, which gave phi = -inf, unmasked
+        spec = make_spec("A", 1e-100, -1e300, 3.1047126486809624, 5.437926657808131,
+                         c1=1e200, c2=18.66259793362022)
+        with np.errstate(all="raise"):  # and no overflow escapes as a warning
+            with pytest.raises(NonFiniteError, match=r"^phi is not finite at xi=-18\.77$"):
+                eval_uv_masked(spec, np.linspace(-18.77, -16.88, 5), 0.0)
 
     def test_branch_contract(self):
         up = fig1_spec("upper")

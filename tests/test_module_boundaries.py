@@ -124,6 +124,18 @@ def test_tracer_installed_before_any_polish_counts_every_polish():
     assert starts == candidates == roots == 4
 
 
+def test_figure_loads_no_numpy_ma(tmp_path):
+    # np.percentile would import numpy.ma (through np.unique) on a command's
+    # first call; write_svg takes its order statistics without it
+    out = run_fresh(
+        "import contextlib, io, sys\n"
+        "from alleewaves import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['figure', '1', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n")
+    assert out.split() == ["0", "False"]
+
+
 def test_sim_loads_only_errors():
     # the run-time counterpart of test_sim_imports_only_errors
     assert sorted(m for m in loaded_modules("alleewaves.sim") if m.split(".")[0] == "alleewaves") \

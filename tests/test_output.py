@@ -223,6 +223,24 @@ class TestBulkMatchesReference:
                     == (tmp_path / "ref" / name).read_bytes())
 
 
+# finite arrays of any spread, or drawn from a few values so that ties and
+# signed zeros are common
+spread_values = arrays(np.float64, st.integers(1, 60), elements=finite_cell)
+tied_values = arrays(np.float64, st.integers(1, 60),
+                     elements=st.sampled_from([-0.0, 0.0, 1.0, -2.5, 1e300]))
+
+
+class TestPercentiles:
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.one_of(spread_values, tied_values),
+           q=st.floats(0.0, 100.0, allow_nan=False))
+    def test_bit_identical_to_np_percentile(self, a, q):
+        qs = [1.0, 99.0, q]
+        with np.errstate(over="ignore", invalid="ignore"):  # b - a may overflow
+            got, want = output._percentiles(a, qs), np.percentile(a, qs)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestRoundTripProperty:
     @settings(max_examples=200, deadline=None)
     @given(table=tables(ints=False), h=st.floats(allow_nan=False))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from alleewaves.cli import COMMANDS, main
+from alleewaves.cli import COMMANDS, build_parser, main, resolve
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -42,6 +42,11 @@ def test_cli_line_runs(tmp_path, argv):
     if "--out" in argv:
         argv[argv.index("--out") + 1] = str(tmp_path)
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("argv", cli_lines(), ids=lambda argv: " ".join(argv[:2]))
+def test_cli_line_resolves_alike_from_the_one_command_parser(argv):
+    assert resolve(build_parser(argv).parse_args(argv)) == resolve(build_parser().parse_args(argv))
 
 
 def test_every_command_has_a_line():

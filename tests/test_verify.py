@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from test_sim import hyperbolic_fronts
 
-from alleewaves.errors import AlleeWavesError, PoleError
+from alleewaves.errors import AlleeWavesError, NonFiniteError, PoleError
 from alleewaves.exact import eval_phi, eval_uv, make_spec, phi_derivatives
 from alleewaves.model import CaseKind
 from alleewaves.verify import (check_G_ode, estimate_period, ode_residual,
@@ -77,6 +77,15 @@ class TestOdeResidual:
     def test_small_sample_count_rejected(self):
         with pytest.raises(ValueError):
             ode_residual(fig1_spec(), -5.0, 5.0, 8)
+
+    def test_non_finite_row_raises(self):
+        # u ~ 1e150, so u**3 overflows and both rows were NaN
+        spec = make_spec("A", -1e150, -1e-150, 0.6541924612081553, 2.6136175372372232,
+                         "lower", 1e-300, -11.789830727053094)
+        with np.errstate(all="raise"):  # and no overflow escapes as a warning
+            with pytest.raises(NonFiniteError,
+                               match=r"^the prey row is not finite at xi=-12\.76$"):
+                ode_residual(spec, -12.76, 5.38)
 
     @pytest.mark.parametrize("lo, hi", [(-math.inf, 5.0), (0.0, math.nan),
                                         (0.0, math.inf), (5.0, -5.0), (5.0, 5.0)])
