@@ -26,6 +26,8 @@ and eval_phi, phi_derivatives, eval_uv, eval_uv_masked, find_singularities
 and nearest_pole all take the spec.  eval_amplitude(case, lam, mu, c1, c2, xi)
 is the one raw entry, and the one place that checks a case it is given:
 verify.check_G_ode tests the auxiliary oscillator from those numbers alone.
+Each case's amplitude row gives (A, A') only, computed in place on a fresh
+array; eval_amplitude, the one reader of A'', forms it by the case formula.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ def check_window(name, lo, hi):
 def require_finite(xi, values: dict, where=True):
     """NonFiniteError naming the first xi, and the first of values (name -> array
     shaped like xi) there, that is not finite; samples where `where` is False
-    do not count."""
+    do not count.  xi may be a function building it, called only to name one."""
     finite = {name: np.isfinite(val) for name, val in values.items()}
     if all(ok.all() for ok in finite.values()):
         return
@@ -169,7 +171,9 @@ def require_finite(xi, values: dict, where=True):
     if bad.any():
         i = int(np.argmax(bad))
         name = next(name for name, ok in finite.items() if not np.ravel(ok)[i])
-        raise NonFiniteError(f"{name} is not finite at xi={np.ravel(xi)[i]:.6g}")
+        with np.errstate(over="ignore", invalid="ignore"):  # x - c*t may overflow
+            xi = np.ravel(xi() if callable(xi) else xi)
+        raise NonFiniteError(f"{name} is not finite at xi={xi[i]:.6g}")
 
 
 def _hyperbolic_amp(q, c1, c2, xi):
@@ -180,30 +184,48 @@ def _hyperbolic_amp(q, c1, c2, xi):
         theta = 0.5 * (np.log(abs(M)) - np.log(abs(P)))  # +-inf when |c1| = |c2|
     w = 0.5 * (abs(c1) + abs(c2))
     h, d = w * (np.sign(P) + np.sign(M)), w * (np.sign(P) - np.sign(M))
-    T = np.tanh(q * xi - theta)
-    A = h + d * T
-    return A, q * (d + h * T), q * q * A
+    # in place, rounding as T = tanh(q*xi - theta), A = h + d*T, A' = q*(d + h*T)
+    xi *= q
+    xi -= theta
+    T = np.tanh(xi, out=xi)
+    A = np.multiply(d, T, out=np.empty_like(T))
+    A += h
+    T *= h
+    T += d
+    T *= q
+    return A, T
 
 
 def _trigonometric_amp(q, c1, c2, xi):
-    s, co = np.sin(q * xi), np.cos(q * xi)
-    A = c1 * co + c2 * s
-    return A, q * (-c1 * s + c2 * co), -q * q * A
+    # in place, rounding as A = c1*cos(q*xi) + c2*sin(q*xi), A' = q*(-c1*sin + c2*cos)
+    xi *= q
+    s = np.sin(xi, out=np.empty_like(xi))
+    co = np.cos(xi, out=xi)
+    A = np.multiply(c1, co, out=np.empty_like(co))
+    A += c2 * s
+    s *= -c1
+    co *= c2
+    s += co
+    s *= q
+    return A, s
 
 
 class _Forms(NamedTuple):
     """The closed forms of one regime of G'' + lam*G' + mu*G = 0.
 
     G = exp(-lam*xi/2) * A(xi), and each form takes the rate
-    q = sqrt(|lam^2 - 4*mu|)/2.  amp gives (A, A', A'')/s on arrays, with a
-    positive scale s in the hyperbolic row and s = 1 in the others, so all
-    three stay bounded and phi = -lam/2 + A'/A.  The zeros of A, the poles of
-    phi, are numbered in increasing order: zero(q, c1, c2, n) gives the n-th,
-    NaN where A has none, and index(q, c1, c2, xi) the real n at xi, 0 where
-    A has at most one zero.  period gives the period of phi, None if aperiodic.
+    q = sqrt(|lam^2 - 4*mu|)/2.  amp(q, c1, c2, xi) gives (A, A')/s, writing
+    into the fresh float array xi, with a positive scale s in the hyperbolic
+    row and s = 1 in the others, so both stay bounded and phi = -lam/2 + A'/A;
+    amp2(q, A) gives A''/s from A by the case formula.  The zeros of A, the
+    poles of phi, are numbered in increasing order: zero(q, c1, c2, n) gives
+    the n-th, NaN where A has none, and index(q, c1, c2, xi) the real n at xi,
+    0 where A has at most one zero.  period gives the period of phi, None if
+    aperiodic.
     """
 
     amp: Callable
+    amp2: Callable
     zero: Callable
     index: Callable = lambda q, c1, c2, xi: 0
     period: Callable = lambda q: None
@@ -213,6 +235,7 @@ _CASES = {
     # A = c1*sinh(q*xi) + c2*cosh(q*xi), q = sqrt(lam^2 - 4*mu)/2
     CaseKind.HYPERBOLIC: _Forms(
         amp=_hyperbolic_amp,
+        amp2=lambda q, A: q * q * A,
         # tanh(q*xi) = -c2/c1 has a root only when |c2| < |c1|, at
         # e^(2*q*xi) = (c1 - c2)/(c1 + c2); atanh(-c2/c1) would round the
         # ratio and lose the digits of a nearly cancelling c1 + c2
@@ -222,14 +245,16 @@ _CASES = {
     # A = c1*cos(q*xi) + c2*sin(q*xi), q = sqrt(4*mu - lam^2)/2
     CaseKind.TRIGONOMETRIC: _Forms(
         amp=_trigonometric_amp,
+        amp2=lambda q, A: -q * q * A,
         # A = R*cos(q*xi - p0), p0 = atan2(c2, c1), vanishes at q*xi = p0 + pi/2 + n*pi
         zero=lambda q, c1, c2, n: (math.atan2(c2, c1) + 0.5 * math.pi + n * math.pi) / q,
         index=lambda q, c1, c2, xi: (q * xi - math.atan2(c2, c1) - 0.5 * math.pi) / math.pi,
         period=lambda q: math.pi / q),
     # A = c1 + c2*xi
     CaseKind.DEGENERATE: _Forms(
-        amp=lambda q, c1, c2, xi: (c1 + c2 * xi, np.full_like(xi, float(c2)),
-                                   np.zeros_like(xi)),
+        amp=lambda q, c1, c2, xi: (np.add(np.multiply(xi, c2, out=xi), c1, out=xi),
+                                   np.full_like(xi, float(c2))),
+        amp2=lambda q, A: np.zeros_like(A),
         zero=lambda q, c1, c2, n: -c1 / c2 if c2 != 0 else math.nan),
 }
 
@@ -256,11 +281,15 @@ def eval_amplitude(case: CaseKind, lam, mu, c1, c2, xi):
     if actual is not case:
         raise CaseMismatchError(case, discriminant(lam, mu), actual)
     forms, q = _forms(case, lam, mu)
-    return forms.amp(q, c1, c2, np.asarray(xi, dtype=float))
+    A, Ap = forms.amp(q, c1, c2, np.array(xi, dtype=float))
+    return A, Ap, forms.amp2(q, A)
 
 
 def _phi(spec: SolutionSpec, xi):
-    """phi and a validity mask (False where the pole floor is hit).
+    """phi and a validity mask (False where the pole floor is hit) at xi(),
+    a function building a fresh float array for the amplitude row to
+    overwrite, so no second copy of xi lives while the row runs; it runs
+    again only to name a sample that is not finite.
 
     The exponential prefactor of G and the scale s cancel in phi = G'/G,
     which leaves phi = -lam/2 + A'/A on the bounded amplitude.  The mask
@@ -269,12 +298,13 @@ def _phi(spec: SolutionSpec, xi):
     """
     co = spec.coeffs
     forms, q = _forms(spec.case, co.lam, co.mu)
-    xi = np.asarray(xi, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        A, Ap, _ = forms.amp(q, spec.c1, spec.c2, xi)
-        phi = -0.5 * co.lam + Ap / A
-    ok = ~(np.abs(A) < POLE_FLOOR * (abs(spec.c1) + abs(spec.c2)))
-    require_finite(xi, {"phi": phi}, where=ok)
+        A, phi = forms.amp(q, spec.c1, spec.c2, xi())
+        phi /= A
+        phi += -0.5 * co.lam
+    ok = np.less(np.abs(A, out=A), POLE_FLOOR * (abs(spec.c1) + abs(spec.c2)),
+                 out=np.empty(A.shape, dtype=bool))
+    require_finite(xi, {"phi": phi}, where=np.logical_not(ok, out=ok))
     return phi, ok
 
 
@@ -283,7 +313,7 @@ def eval_phi(spec: SolutionSpec, xi):
 
     The error names the zero of A nearest to the first such sample.
     """
-    phi, ok = _phi(spec, xi)
+    phi, ok = _phi(spec, lambda: np.array(xi, dtype=float))
     if not np.all(ok):
         bad = float(np.atleast_1d(np.asarray(xi, float))[~np.atleast_1d(ok)][0])
         raise PoleError(bad, float(nearest_pole(spec, bad)))
@@ -299,18 +329,31 @@ def phi_derivatives(spec: SolutionSpec, xi):
     return phi, dphi, d2phi
 
 
+def _uv(co: ExpansionCoeffs, phi, xi, ok=True):
+    """u = alpha1*phi + alpha0 in a fresh array and v = beta1*phi + beta0 in
+    phi's; NonFiniteError names the first xi where ok and either overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = co.alpha1 * phi
+        u += co.alpha0
+        phi *= co.beta1
+        phi += co.beta0
+    require_finite(xi, {"u": u, "v": phi}, where=ok)
+    return u, phi
+
+
 def eval_uv(spec: SolutionSpec, x, t):
     """The solution fields (u, v) at (x, t); xi = x - c*t."""
     co = spec.coeffs
-    phi = eval_phi(spec, np.asarray(x, dtype=float) - co.c * np.asarray(t, dtype=float))
-    return co.alpha1 * phi + co.alpha0, co.beta1 * phi + co.beta0
+    xi = np.asarray(x, dtype=float) - co.c * np.asarray(t, dtype=float)
+    return _uv(co, eval_phi(spec, xi), xi)
 
 
 def eval_uv_masked(spec: SolutionSpec, x, t):
     """(u, v, ok) with pole-adjacent samples masked out instead of raising."""
     co = spec.coeffs
-    phi, ok = _phi(spec, np.asarray(x, dtype=float) - co.c * np.asarray(t, dtype=float))
-    return co.alpha1 * phi + co.alpha0, co.beta1 * phi + co.beta0, ok
+    xi = lambda: np.asarray(np.asarray(x, dtype=float) - co.c * np.asarray(t, dtype=float))
+    phi, ok = _phi(spec, xi)
+    return (*_uv(co, phi, xi, ok), ok)
 
 
 # find_singularities lists the poles of at most this many indices

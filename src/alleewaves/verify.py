@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlleeWavesError, PoleError
+from .errors import AlleeWavesError, NonFiniteError, PoleError
 from .exact import (SolutionSpec, check_window, eval_amplitude, eval_uv, nearest_pole,
                     phi_derivatives, require_finite)
 from .model import CaseKind
@@ -28,7 +28,8 @@ MIN_EXCLUSION_RADIUS = 1e-3
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Per-equation residual norms plus the pole-exclusion bookkeeping."""
+    """Per-equation residual norms plus the pole-exclusion bookkeeping; NonFiniteError
+    names the first norm or diagnostic (by its to_kv key) that is not finite."""
 
     eq_names: tuple
     max_abs: tuple
@@ -37,6 +38,13 @@ class ResidualReport:
     n_excluded: int = 0
     exclusion_radius: float = 0.0
     extra: tuple = field(default_factory=tuple)  # (key, value) diagnostics
+
+    def __post_init__(self):
+        keys = [f"{kind}.{n}" for kind in ("max_abs", "l2") for n in self.eq_names]
+        for key, val in zip(keys + [k for k, _ in self.extra],
+                            (*self.max_abs, *self.l2, *(v for _, v in self.extra))):
+            if not math.isfinite(val):
+                raise NonFiniteError(f"{key} is not finite")
 
     @property
     def worst(self) -> float:
@@ -72,15 +80,18 @@ def _rows(co, du, dv, u, v):
             dv + co.k * u * v - co.beta_model * v - co.delta * v**3)
 
 
-def _report(r1, r2, where, weight, **fields) -> ResidualReport:
-    """Max |r|, where(its flat index) and sqrt(weight * sum r^2) of each row."""
+def _report(r1, r2, where, weight, extra=lambda max_abs: (), **fields) -> ResidualReport:
+    """Max |r|, where(its flat index) and sqrt(weight * sum r^2) of each row,
+    and the diagnostics extra(max_abs)."""
     rows = (r1, r2)
-    return ResidualReport(
-        eq_names=("prey", "predator"),
-        max_abs=tuple(float(np.max(np.abs(r))) for r in rows),
-        max_location=tuple(where(int(np.argmax(np.abs(r)))) for r in rows),
-        l2=tuple(float(np.sqrt(weight * np.sum(r * r))) for r in rows),
-        **fields)
+    absr = [np.abs(r).ravel() for r in rows]
+    at = [int(a.argmax()) for a in absr]
+    with np.errstate(over="ignore", invalid="ignore"):  # the report names an overflow
+        l2 = tuple(math.sqrt(weight * (r * r).sum()) for r in rows)
+    max_abs = tuple(float(a[i]) for a, i in zip(absr, at))
+    return ResidualReport(eq_names=("prey", "predator"), max_abs=max_abs,
+                          max_location=tuple(map(where, at)), l2=l2,
+                          extra=extra(max_abs), **fields)
 
 
 def ode_residual(spec: SolutionSpec, xi_lo, xi_hi, n_samples=2001) -> ResidualReport:
@@ -105,11 +116,11 @@ def ode_residual(spec: SolutionSpec, xi_lo, xi_hi, n_samples=2001) -> ResidualRe
                        co.beta1 * d2p + co.c * (co.beta1 * dp), u, v)
     # a non-finite u or v makes both rows non-finite at the same xi
     require_finite(xs, {"the prey row": r1, "the predator row": r2})
-    rel_scale = max(float(np.max(np.abs(u)) ** 3), 1.0)
+    rel_scale = max(float(np.abs(u).max() ** 3), 1.0)
     return _report(r1, r2, lambda i: float(xs[i]), h,
                    n_excluded=int(n_samples - keep.sum()), exclusion_radius=radius,
-                   extra=(("rel_max.prey", float(np.max(np.abs(r1))) / rel_scale),
-                          ("rel_max.predator", float(np.max(np.abs(r2))) / rel_scale)))
+                   extra=lambda mx: (("rel_max.prey", mx[0] / rel_scale),
+                                     ("rel_max.predator", mx[1] / rel_scale)))
 
 
 def _fd1(f, h):
@@ -127,6 +138,7 @@ def pde_residual(spec: SolutionSpec, x_window, t_window, nx=401, nt=101) -> Resi
 
     The window must stay clear of the traveling pole trajectories for the
     whole time range; otherwise PoleError reports where a pole line enters it.
+    NonFiniteError names the first xi = x - c*t where a row is not finite.
     """
     if nx < 8 or nt < 8:
         raise ValueError("need nx, nt >= 8")
@@ -145,14 +157,16 @@ def pde_residual(spec: SolutionSpec, x_window, t_window, nx=401, nt=101) -> Resi
 
     x, hx = np.linspace(x0, x1, nx, retstep=True)
     t, ht = np.linspace(t0, t1, nt, retstep=True)
-    X, T = np.meshgrid(x, t, indexing="ij")
-    u, v = eval_uv(spec, X, T)
-
     inner = (slice(2, -2), slice(2, -2))
-    r1, r2 = _rows(co, _fd2(u, hx)[:, 2:-2], _fd2(v, hx)[:, 2:-2], u[inner], v[inner])
-    return _report(_fd1(u, ht)[2:-2] - r1, _fd1(v, ht)[2:-2] - r2,
-                   lambda i: (float(x[2 + i // (nt - 4)]), float(t[2 + i % (nt - 4)])),
-                   hx * ht, extra=(("fd_truncation_scale", max(hx, ht) ** 4),))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u, v = eval_uv(spec, x[:, None], t[None, :])
+        r1, r2 = _rows(co, _fd2(u, hx)[:, 2:-2], _fd2(v, hx)[:, 2:-2], u[inner], v[inner])
+        r1, r2 = _fd1(u, ht)[2:-2] - r1, _fd1(v, ht)[2:-2] - r2
+        weight, trunc = hx * ht, max(hx, ht) ** 4
+    require_finite(lambda: x[2:-2, None] - co.c * t[None, 2:-2],
+                   {"the prey row": r1, "the predator row": r2})
+    return _report(r1, r2, lambda i: (float(x[2 + i // (nt - 4)]), float(t[2 + i % (nt - 4)])),
+                   weight, extra=lambda mx: (("fd_truncation_scale", trunc),))
 
 
 def check_G_ode(case: CaseKind, lam, mu, c1, c2, xi_grid) -> ResidualReport:
@@ -162,25 +176,22 @@ def check_G_ode(case: CaseKind, lam, mu, c1, c2, xi_grid) -> ResidualReport:
     case's bounded amplitude (A, A', A'')/s, so no finite window overflows;
     A'' comes from the case formula, never from the ODE.  The residual is
     normalized by max|A/s| on the grid.  Raises NonFiniteError where the
-    amplitude is not finite, as at a non-finite xi.
+    amplitude (as at a non-finite xi) or the normalized residual is not finite.
     """
     xi = np.asarray(xi_grid, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         A, Ap, App = eval_amplitude(case, lam, mu, c1, c2, xi)
-    require_finite(xi, {"G": A, "G'": Ap, "G''": App})
-    # G'/(E*s) and G''/(E*s) by the chain rule; G/(E*s) is A
-    Gp = Ap - 0.5 * lam * A
-    Gpp = App - lam * Ap + 0.25 * lam * lam * A
-    res = Gpp + lam * Gp + mu * A
-    scale = float(np.max(np.abs(A)))
-    norm = np.abs(res) / (scale if scale > 0 else 1.0)
-    i = int(np.argmax(norm))
-    return ResidualReport(
-        eq_names=("G_ode",),
-        max_abs=(float(norm[i]),),
-        max_location=(float(xi[i]),),
-        l2=(float(np.sqrt(np.mean(norm * norm))),),
-    )
+        require_finite(xi, {"G": A, "G'": Ap, "G''": App})
+        # G'/(E*s) and G''/(E*s) by the chain rule; G/(E*s) is A
+        Gp = Ap - 0.5 * lam * A
+        Gpp = App - lam * Ap + 0.25 * lam * lam * A
+        scale = float(np.abs(A).max())
+        norm = np.abs(Gpp + lam * Gp + mu * A) / (scale if scale > 0 else 1.0)
+        l2 = math.sqrt((norm * norm).mean())
+    require_finite(xi, {"the G residual": norm})
+    i = int(norm.argmax())
+    return ResidualReport(eq_names=("G_ode",), max_abs=(float(norm[i]),),
+                          max_location=(float(xi[i]),), l2=(l2,))
 
 
 def estimate_period(values, spacing) -> float:

@@ -1,0 +1,59 @@
+"""Every library route either returns finite numbers or raises a typed error.
+
+The strategy draws each float from its normal range or from a set of extreme
+values.  eval_uv_masked, ode_residual, check_G_ode and pde_residual must then
+raise AlleeWavesError or ValueError, or return only finite values at the
+samples they do not mask; pytest turns any NumPy RuntimeWarning into a
+failure, so no overflow may escape either.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from alleewaves.errors import AlleeWavesError
+from alleewaves.exact import eval_uv_masked, make_spec
+from alleewaves.verify import check_G_ode, ode_residual, pde_residual
+
+EXTREME = (0.0, 1e-300, -1e-300, 1e12, -1e12, 1e150, -1e150, 1e300, -1e300, 5e-324)
+
+
+def num(lo, hi):
+    return st.one_of(st.floats(lo, hi), st.sampled_from(EXTREME))
+
+
+def finite_report(rep):
+    return all(map(math.isfinite, rep.max_abs + rep.l2 + tuple(v for _, v in rep.extra)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from("AB"), branch=st.sampled_from(("upper", "lower")),
+       alpha0=num(0.3, 3.0), mu=num(-2.0, 10.0), k=num(0.5, 8.0), delta=num(0.5, 5.0),
+       c1=num(-2.0, 2.0), c2=num(-2.0, 2.0), lo=num(-20.0, 0.0), width=num(0.1, 20.0),
+       t=num(0.0, 2.0))
+def test_library_is_finite_or_typed(family, branch, alpha0, mu, k, delta, c1, c2, lo,
+                                    width, t):
+    try:
+        spec = make_spec(family, alpha0, mu, k, delta, branch, c1, c2)
+    except (AlleeWavesError, ValueError):
+        return
+    co = spec.coeffs
+    x = np.linspace(lo, lo + width, 64)
+    routes = {
+        "eval_uv_masked": lambda: eval_uv_masked(spec, x, t),
+        "ode_residual": lambda: ode_residual(spec, lo, lo + width, 64),
+        "check_G_ode": lambda: check_G_ode(spec.case, co.lam, co.mu, c1, c2, x),
+        "pde_residual": lambda: pde_residual(spec, (lo, lo + width), (0.0, t), 12, 12),
+    }
+    for name, route in routes.items():
+        try:
+            out = route()
+        except (AlleeWavesError, ValueError):
+            continue
+        if name == "eval_uv_masked":
+            u, v, ok = out
+            assert np.isfinite(u[ok]).all() and np.isfinite(v[ok]).all(), name
+        else:
+            assert finite_report(out), (name, out)

@@ -142,6 +142,23 @@ class TestPdeResidual:
                                                        f" increasing order, got {window}")):
             pde_residual(fig1_spec(), windows["x_window"], windows["t_window"], 16, 16)
 
+    def test_non_finite_row_raises(self):
+        # u ~ 1e150, so u**3 overflows: the report was max_abs=(nan, nan) under warnings.
+        # The first inner sample is x = -10.3413, t = 0.1333, so xi = x - c*t = -10.403
+        spec = make_spec("A", -1e150, -1e-150, 0.6541924612081553, 2.6136175372372232,
+                         "lower", 1e-300, -11.789830727053094)
+        with np.errstate(all="raise"):  # and no overflow escapes as a warning
+            with pytest.raises(NonFiniteError,
+                               match=r"^the prey row is not finite at xi=-10\.403$"):
+                pde_residual(spec, (-12.76, 5.38), (0.0, 1.0), 16, 16)
+
+    @pytest.mark.parametrize("t1, key", [(1e-254, "l2.prey"), (1e150, "fd_truncation_scale")])
+    def test_overflowing_norm_is_refused(self, t1, key):
+        # finite rows whose squares overflow, and a step whose 4th power does
+        spec = make_spec("A", 1.0, 0.0, 1.0, 1.0, "upper", 0.0, 1.0)
+        with pytest.raises(NonFiniteError, match=rf"^{key} is not finite$"):
+            pde_residual(spec, (0.0, 1.0), (0.0, t1), 12, 12)
+
 
 @settings(max_examples=20, deadline=None)
 @given(front=hyperbolic_fronts())
