@@ -301,6 +301,6 @@ def closed_form_targets(k, delta, mu, alpha0):
         for branch in ("upper", "lower"):
             try:
                 out.append((f"Set {family} {branch}", derive(alpha0, mu, k, delta, branch)))
-            except SingularParameterError:  # Set B at alpha0 = 0 or too small
+            except SingularParameterError:  # the family is singular here, on either branch
                 break
     return out

@@ -27,7 +27,7 @@ from . import __version__
 from .algebraic import closed_form_targets, deviation, match_root, solve_families
 from .errors import (AlleeWavesError, BlowUpError, CaseMismatchError, NonFiniteError,
                      PoleError, SingularParameterError, StabilityError, TrackingError)
-from .exact import FAMILIES, eval_uv_masked, find_singularities, make_spec, nearest_pole
+from .exact import FAMILIES, eval_uv_masked, find_singularities, make_spec, near_pole, pole_between
 from .model import CaseKind, discriminant
 from .output import FLOAT_FMT, write_csv, write_svg
 from .sim import GridField, SimConfig, measure_wave_speed, simulate
@@ -235,7 +235,7 @@ def _sample_profile(spec, x, t):
     u, v, ok = eval_uv_masked(spec, x, t)
     c = spec.coeffs.c
     xi = x - c * t
-    ok = ok & ~(np.abs(xi - nearest_pole(spec, xi)) <= spacing)  # NaN: no pole
+    ok = ok & ~near_pole(spec, xi, spacing)
     lo, hi = float(xi.min()), float(xi.max())
     poles = find_singularities(spec, lo - spacing, hi + spacing)  # lo = hi at one sample
     hdr = {}
@@ -333,17 +333,6 @@ def cmd_verify(par, out) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
-# how to seed without a pole in the domain, by case (see exact._CASES)
-_POLE_ADVICE = {
-    CaseKind.HYPERBOLIC: "choose |c2| >= |c1|, which leaves a hyperbolic seed pole-free",
-    CaseKind.TRIGONOMETRIC: "a trigonometric seed has a pole every {period:.6g} in xi,"
-                            " and c1, c2 only shift them: choose a domain shorter than that"
-                            " between two poles, or parameters with lambda^2 >= 4*mu",
-    CaseKind.DEGENERATE: "a degenerate seed's one pole is at xi=-c1/c2: choose c1, c2"
-                         " that put it outside the domain, or c2 = 0 for a constant seed",
-}
-
-
 def cmd_simulate(par, out) -> int:
     spec = _make_spec_from(par)
     co = spec.coeffs
@@ -351,10 +340,10 @@ def cmd_simulate(par, out) -> int:
     if len(x) < 8:  # the fewest cells a GridField takes
         raise ValueError(f"--x-min {par['x_min']}, --x-max {par['x_max']} and --dx {par['dx']}"
                          f" give a grid of {len(x)} cells; simulate needs at least 8")
-    p = float(nearest_pole(spec, 0.5 * (x[0] + x[-1])))
-    if x[0] <= p <= x[-1]:
+    p = pole_between(spec, x[0], x[-1])
+    if p is not None:
         raise ValueError(f"seed profile has a pole at xi={p:.6g} inside the domain;"
-                         f" {_POLE_ADVICE[spec.case].format(period=spec.period)}")
+                         f" {spec.forms.advice.format(period=spec.period)}")
     u0, v0 = np.asarray(eval_uv_masked(spec, x, 0.0)[:2])
     field = GridField(x0=float(x[0]), dx=par["dx"], u=u0, v=v0, t=0.0)
     cfg = SimConfig(k=par["k"], delta=par["delta"], beta=co.beta_model,
@@ -411,8 +400,8 @@ def cmd_solve(par, _out) -> int:
             matched.add(hit[0])
             print(f"        matches {hit[0]}, max componentwise dev"
                   f" {deviation(r, hit[1]):.3e}")
-    if len(targets) < 2 * len(FAMILIES):  # closed_form_targets left Set B out
-        print(f"  Set B: not applicable: alpha0={par['alpha0']:g}")
+    for family in sorted(set(FAMILIES) - {name.split()[1] for name, _ in targets}):
+        print(f"  Set {family}: not applicable: alpha0={par['alpha0']:g}")
     for name, _ in targets:
         if name not in matched:
             print(f"  warning: closed form {name} not recovered")

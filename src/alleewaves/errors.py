@@ -10,14 +10,13 @@ class PoleError(AlleeWavesError):
 
     Attributes:
         xi: the offending evaluation point
-        xi_pole: nearest pole location (None if not located)
+        xi_pole: nearest pole location
     """
 
-    def __init__(self, xi, xi_pole=None):
+    def __init__(self, xi, xi_pole):
         self.xi = xi
         self.xi_pole = xi_pole
-        near = f", nearest pole at xi={xi_pole:.6g}" if xi_pole is not None else ""
-        super().__init__(f"denominator vanishes near xi={xi:.6g}{near}")
+        super().__init__(f"denominator vanishes near xi={xi:.6g}, nearest pole at xi={xi_pole:.6g}")
 
 
 class SingularParameterError(AlleeWavesError, ValueError):

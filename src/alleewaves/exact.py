@@ -22,12 +22,10 @@ Note: Set B's discriminant is (alpha0**2 - 2*mu)**2 / (2*alpha0**2) >= 0,
 so Set B admits only the hyperbolic and degenerate regimes.
 
 A SolutionSpec classifies its case from lam^2 - 4*mu once, when it is built,
-and eval_phi, phi_derivatives, eval_uv, eval_uv_masked, find_singularities
-and nearest_pole all take the spec.  eval_amplitude(case, lam, mu, c1, c2, xi)
+and keeps that case's row of _CASES and its rate q; pole_between and near_pole
+answer the other modules' pole questions.  eval_amplitude(case, lam, mu, c1, c2, xi)
 is the one raw entry, and the one place that checks a case it is given:
 verify.check_G_ode tests the auxiliary oscillator from those numbers alone.
-Each case's amplitude row gives (A, A') only, computed in place on a fresh
-array; eval_amplitude, the one reader of A'', forms it by the case formula.
 """
 
 from __future__ import annotations
@@ -75,20 +73,30 @@ class ExpansionCoeffs:
     delta: float
 
 
-def _family_coeffs(sg, alpha0, mu, k, delta, lam, c, beta_model) -> ExpansionCoeffs:
-    """Complete a family's (lam, c, beta) with the coefficients both families share."""
+def _family_coeffs(family, sg, alpha0, mu, k, delta, lam, c, beta_model) -> ExpansionCoeffs:
+    """Complete a family's (lam, c, beta) with the coefficients both families share;
+    SingularParameterError names the family inputs where any of them is not finite."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     sd = math.sqrt(delta)
-    return ExpansionCoeffs(alpha1=sg * SQRT2, alpha0=alpha0, beta1=sg * SQRT2 / sd,
-                           beta0=alpha0 / sd, lam=lam, mu=mu, c=c,
-                           beta_model=beta_model, k=k, delta=delta)
+    co = ExpansionCoeffs(alpha1=sg * SQRT2, alpha0=alpha0, beta1=sg * SQRT2 / sd,
+                         beta0=alpha0 / sd, lam=lam, mu=mu, c=c,
+                         beta_model=beta_model, k=k, delta=delta)
+    bad = [f"{name}={val}" for name, val in vars(co).items() if not math.isfinite(val)]
+    if bad:
+        why = (f"Set {family} is not finite at alpha0={alpha0!r}, mu={mu!r}, k={k!r},"
+               f" delta={delta!r}: {', '.join(bad)}")
+        if math.isfinite(lam) and math.isfinite(mu) and not math.isfinite(lam * lam - 4.0 * mu):
+            # named first, as SolutionSpec names it where every field is finite
+            why = f"lambda^2 - 4*mu overflows at lambda={lam!r}, mu={mu!r}; {why}"
+        raise SingularParameterError(why)
+    return co
 
 
 def derive_set_a(alpha0, mu, k, delta, branch="upper") -> ExpansionCoeffs:
     """Family (a): wave speed c = -+k/sqrt(2)."""
     sg = _branch_sign(branch)
-    return _family_coeffs(sg, alpha0, mu, k, delta,
+    return _family_coeffs("A", sg, alpha0, mu, k, delta,
                           lam=-sg * (k - 2.0 * alpha0) / SQRT2,
                           c=-sg * k / SQRT2,
                           beta_model=k * alpha0 - alpha0 * alpha0 + 2.0 * mu)
@@ -98,7 +106,7 @@ def derive_set_b(alpha0, mu, k, delta, branch="upper") -> ExpansionCoeffs:
     """Family (b): wave speed c = +-(2k - 3*alpha0 + 6*mu/alpha0)/sqrt(2).
 
     Raises SingularParameterError where alpha0**2 rounds to 0 (the family
-    divides by it) or lam, c or beta is not finite.
+    divides by it).
     """
     a0sq = alpha0 * alpha0
     if a0sq == 0:
@@ -108,10 +116,7 @@ def derive_set_b(alpha0, mu, k, delta, branch="upper") -> ExpansionCoeffs:
     lam = sg * (a0sq + 2.0 * mu) / (SQRT2 * alpha0)
     c = sg * (2.0 * k - 3.0 * alpha0 + 6.0 * mu / alpha0) / SQRT2
     beta_model = -(a0sq - 2.0 * mu) * (-k * alpha0 + a0sq - 2.0 * mu) / a0sq
-    if not all(map(math.isfinite, (lam, c, beta_model))):
-        raise SingularParameterError(
-            f"Set B is not finite at alpha0={alpha0!r}: lambda={lam}, c={c}, beta={beta_model}")
-    return _family_coeffs(sg, alpha0, mu, k, delta, lam=lam, c=c, beta_model=beta_model)
+    return _family_coeffs("B", sg, alpha0, mu, k, delta, lam=lam, c=c, beta_model=beta_model)
 
 
 FAMILIES = {"A": derive_set_a, "B": derive_set_b}
@@ -119,7 +124,7 @@ FAMILIES = {"A": derive_set_a, "B": derive_set_b}
 
 @dataclass(frozen=True)
 class SolutionSpec:
-    """One fully-specified solution; its case is classified from lambda and mu, once, here."""
+    """One fully-specified solution; its case, row of _CASES and q are set once, here."""
 
     family: str          # 'A' or 'B'
     branch: str          # 'upper' or 'lower'
@@ -127,6 +132,8 @@ class SolutionSpec:
     c1: float
     c2: float
     coeffs: ExpansionCoeffs
+    forms: _Forms = field(init=False, repr=False, compare=False)
+    q: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -137,13 +144,13 @@ class SolutionSpec:
                 raise ValueError(f"{name} must be finite, got {val}")
         if self.c1 == 0 and self.c2 == 0:
             raise ValueError("(c1, c2) must not both be zero")
-        object.__setattr__(self, "case", classify_case(self.coeffs.lam, self.coeffs.mu))
+        for name, val in zip(("case", "forms", "q"), _forms(self.coeffs.lam, self.coeffs.mu)):
+            object.__setattr__(self, name, val)
 
     @property
     def period(self):
         """Period of the profile in xi, or None when the case is not periodic."""
-        forms, q = _forms(self.case, self.coeffs.lam, self.coeffs.mu)
-        return forms.period(q)
+        return self.forms.period(self.q)
 
 
 def make_spec(family, alpha0, mu, k, delta, branch="upper", c1=1.0, c2=0.0) -> SolutionSpec:
@@ -221,12 +228,13 @@ class _Forms(NamedTuple):
     poles of phi, are numbered in increasing order: zero(q, c1, c2, n) gives
     the n-th, NaN where A has none, and index(q, c1, c2, xi) the real n at xi,
     0 where A has at most one zero.  period gives the period of phi, None if
-    aperiodic.
+    aperiodic, and advice how to seed a domain with no pole (it may read {period}).
     """
 
     amp: Callable
     amp2: Callable
     zero: Callable
+    advice: str
     index: Callable = lambda q, c1, c2, xi: 0
     period: Callable = lambda q: None
 
@@ -241,13 +249,17 @@ _CASES = {
         # ratio and lose the digits of a nearly cancelling c1 + c2
         zero=lambda q, c1, c2, n: (
             0.5 * (math.log(abs(c1 - c2)) - math.log(abs(c1 + c2))) / q
-            if abs(c2) < abs(c1) else math.nan)),
+            if abs(c2) < abs(c1) else math.nan),
+        advice="choose |c2| >= |c1|, which leaves a hyperbolic seed pole-free"),
     # A = c1*cos(q*xi) + c2*sin(q*xi), q = sqrt(4*mu - lam^2)/2
     CaseKind.TRIGONOMETRIC: _Forms(
         amp=_trigonometric_amp,
         amp2=lambda q, A: -q * q * A,
         # A = R*cos(q*xi - p0), p0 = atan2(c2, c1), vanishes at q*xi = p0 + pi/2 + n*pi
         zero=lambda q, c1, c2, n: (math.atan2(c2, c1) + 0.5 * math.pi + n * math.pi) / q,
+        advice="a trigonometric seed has a pole every {period:.6g} in xi, and c1, c2 only"
+               " shift them: choose a domain shorter than that between two poles, or"
+               " parameters with lambda^2 >= 4*mu",
         index=lambda q, c1, c2, xi: (q * xi - math.atan2(c2, c1) - 0.5 * math.pi) / math.pi,
         period=lambda q: math.pi / q),
     # A = c1 + c2*xi
@@ -255,13 +267,16 @@ _CASES = {
         amp=lambda q, c1, c2, xi: (np.add(np.multiply(xi, c2, out=xi), c1, out=xi),
                                    np.full_like(xi, float(c2))),
         amp2=lambda q, A: np.zeros_like(A),
-        zero=lambda q, c1, c2, n: -c1 / c2 if c2 != 0 else math.nan),
+        zero=lambda q, c1, c2, n: -c1 / c2 if c2 != 0 else math.nan,
+        advice="a degenerate seed's one pole is at xi=-c1/c2: choose c1, c2 that put it"
+               " outside the domain, or c2 = 0 for a constant seed"),
 }
 
 
-def _forms(case: CaseKind, lam, mu):
-    """The table entry of case and its rate q."""
-    return _CASES[case], 0.5 * math.sqrt(abs(lam * lam - 4.0 * mu))
+def _forms(lam, mu):
+    """The case of (lam, mu), its table entry and its rate q."""
+    case = classify_case(lam, mu)
+    return case, _CASES[case], 0.5 * math.sqrt(abs(lam * lam - 4.0 * mu))
 
 
 def eval_amplitude(case: CaseKind, lam, mu, c1, c2, xi):
@@ -277,10 +292,9 @@ def eval_amplitude(case: CaseKind, lam, mu, c1, c2, xi):
     formula, never taken from the ODE.  A case that disagrees with
     lam^2 - 4*mu raises CaseMismatchError.
     """
-    actual = classify_case(lam, mu)
+    actual, forms, q = _forms(lam, mu)
     if actual is not case:
         raise CaseMismatchError(case, discriminant(lam, mu), actual)
-    forms, q = _forms(case, lam, mu)
     A, Ap = forms.amp(q, c1, c2, np.array(xi, dtype=float))
     return A, Ap, forms.amp2(q, A)
 
@@ -297,9 +311,8 @@ def _phi(spec: SolutionSpec, xi):
     finite (A' overflowed, say) raises NonFiniteError.
     """
     co = spec.coeffs
-    forms, q = _forms(spec.case, co.lam, co.mu)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        A, phi = forms.amp(q, spec.c1, spec.c2, xi())
+        A, phi = spec.forms.amp(spec.q, spec.c1, spec.c2, xi())
         phi /= A
         phi += -0.5 * co.lam
     ok = np.less(np.abs(A, out=A), POLE_FLOOR * (abs(spec.c1) + abs(spec.c2)),
@@ -361,15 +374,14 @@ MAX_POLE_INDICES = 10**7
 
 
 def _pole_index(spec: SolutionSpec, xi):
-    """The forms and q of spec's case and the real pole index n at each xi;
-    PoleIndexError names the first xi (NaN, or too far out) where n is not finite."""
-    forms, q = _forms(spec.case, spec.coeffs.lam, spec.coeffs.mu)
+    """The real pole index n at each xi; PoleIndexError names the first xi (NaN,
+    or too far out) where n is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        n = forms.index(q, spec.c1, spec.c2, xi)
+        n = spec.forms.index(spec.q, spec.c1, spec.c2, xi)
     if not np.isfinite(n).all():
         bad = float(np.asarray(xi, float)[~np.isfinite(n)].flat[0])
         raise PoleIndexError(f"the pole index at xi={bad:.6g} is not finite")
-    return forms, q, n
+    return n
 
 
 def find_singularities(spec: SolutionSpec, xi_lo, xi_hi):
@@ -379,16 +391,27 @@ def find_singularities(spec: SolutionSpec, xi_lo, xi_hi):
     PoleIndexError instead of listing them; nearest_pole reads any one pole.
     """
     check_window("(xi_lo, xi_hi)", xi_lo, xi_hi)
-    forms, q, n_lo = _pole_index(spec, xi_lo)
-    ns = range(math.floor(n_lo), math.ceil(_pole_index(spec, xi_hi)[2]) + 1)
+    ns = range(math.floor(_pole_index(spec, xi_lo)), math.ceil(_pole_index(spec, xi_hi)) + 1)
     if len(ns) > MAX_POLE_INDICES:
         raise PoleIndexError(f"the window [{xi_lo:.6g}, {xi_hi:.6g}] spans {len(ns)} pole"
                              f" indices, more than {MAX_POLE_INDICES}; nearest_pole finds"
                              " the pole nearest any xi")
-    return [x for x in (forms.zero(q, spec.c1, spec.c2, n) for n in ns) if xi_lo <= x <= xi_hi]
+    zero = spec.forms.zero
+    return [x for x in (zero(spec.q, spec.c1, spec.c2, n) for n in ns) if xi_lo <= x <= xi_hi]
 
 
 def nearest_pole(spec: SolutionSpec, xi):
     """The pole of the solution profile nearest to each xi; NaN where it has none."""
-    forms, q, n = _pole_index(spec, xi)
-    return forms.zero(q, spec.c1, spec.c2, np.rint(n))
+    return spec.forms.zero(spec.q, spec.c1, spec.c2, np.rint(_pole_index(spec, xi)))
+
+
+def pole_between(spec: SolutionSpec, lo, hi):
+    """The pole nearest (lo + hi)/2 if it lies in [lo, hi], else None: if any
+    pole lies in the window, so does the one nearest its middle."""
+    p = float(nearest_pole(spec, 0.5 * (lo + hi)))
+    return p if lo <= p <= hi else None
+
+
+def near_pole(spec: SolutionSpec, xi, radius):
+    """True at each xi within radius of a pole; False where the profile has none."""
+    return np.abs(xi - nearest_pole(spec, xi)) <= radius  # NaN compares False

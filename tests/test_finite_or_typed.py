@@ -1,5 +1,8 @@
 """Every library route either returns finite numbers or raises a typed error.
 
+Both coefficient families either derive ten finite coefficients or raise
+SingularParameterError naming the family inputs.
+
 The strategy draws each float from its normal range or from a set of extreme
 values.  eval_uv_masked, ode_residual, check_G_ode and pde_residual must then
 raise AlleeWavesError or ValueError, or return only finite values at the
@@ -10,11 +13,12 @@ failure, so no overflow may escape either.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alleewaves.errors import AlleeWavesError
-from alleewaves.exact import eval_uv_masked, make_spec
+from alleewaves.errors import AlleeWavesError, SingularParameterError
+from alleewaves.exact import derive_set_a, derive_set_b, eval_uv_masked, make_spec
 from alleewaves.verify import check_G_ode, ode_residual, pde_residual
 
 EXTREME = (0.0, 1e-300, -1e-300, 1e12, -1e12, 1e150, -1e150, 1e300, -1e300, 5e-324)
@@ -57,3 +61,27 @@ def test_library_is_finite_or_typed(family, branch, alpha0, mu, k, delta, c1, c2
             assert np.isfinite(u[ok]).all() and np.isfinite(v[ok]).all(), name
         else:
             assert finite_report(out), (name, out)
+
+
+@pytest.mark.parametrize("branch", ["upper", "lower"])
+@pytest.mark.parametrize("derive", [derive_set_a, derive_set_b], ids=["A", "B"])
+def test_overflowing_beta0_is_singular(derive, branch):
+    # beta0 = alpha0/sqrt(delta) overflowed to inf, and make_spec built the spec
+    with pytest.raises(SingularParameterError, match=r"^Set [AB] is not finite at alpha0=1e\+150,"
+                                                     r" mu=0.2, k=5.9, delta=5e-324: .*beta0=inf"):
+        derive(1e150, 0.2, 5.9, 5e-324, branch)
+
+
+@settings(max_examples=300, deadline=None)
+@given(derive=st.sampled_from([derive_set_a, derive_set_b]),
+       branch=st.sampled_from(("upper", "lower")), alpha0=num(0.3, 3.0), mu=num(-2.0, 10.0),
+       k=num(0.5, 8.0), delta=num(0.5, 5.0))
+def test_family_coefficients_are_finite_or_singular(derive, branch, alpha0, mu, k, delta):
+    try:
+        co = derive(alpha0, mu, k, delta, branch)
+    except SingularParameterError:
+        return
+    except ValueError:
+        assert delta <= 0
+        return
+    assert all(map(math.isfinite, vars(co).values())), co

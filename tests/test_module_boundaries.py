@@ -208,3 +208,45 @@ def test_unreferenced_public_api_sees_every_reference():
         "c": ast.parse("import a\nX = a.Lone\n"),
     }
     assert unreferenced_public_api(trees) == [("a", "recursive")]
+
+
+# exact.py is the one module that knows which case a spec is in and where its
+# poles are: model.py defines and classifies the cases, exact.py keys its
+# closed forms (_CASES) by them, and every other module asks exact
+CASE_MODULES = ("exact", "model")
+
+
+def case_members_named(source):
+    """Line numbers where source names a case as CaseKind.<member>."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and n.value.id == "CaseKind" and n.attr.isupper()]
+
+
+def calls_to(source, name):
+    """Line numbers where source calls name, bare or as an attribute."""
+    return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)
+            and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+
+def test_only_model_and_exact_name_a_case():
+    # a case-keyed table elsewhere (cli's seed advice was one) is a second case switch
+    found = {f.stem: case_members_named(f.read_text()) for f in sorted(PACKAGE.glob("*.py"))
+             if f.stem not in CASE_MODULES}
+    assert {mod: lines for mod, lines in found.items() if lines} == {}
+
+
+def test_only_exact_reads_the_nearest_pole():
+    # other modules ask exact.pole_between for a pole in a window and
+    # exact.near_pole for the samples near one
+    found = {f.stem: calls_to(f.read_text(), "nearest_pole")
+             for f in sorted(PACKAGE.glob("*.py")) if f.stem != "exact"}
+    assert {mod: lines for mod, lines in found.items() if lines} == {}
+
+
+def test_structure_scans_see_every_form():
+    src = ("from .model import CaseKind\nT = {CaseKind.HYPERBOLIC: 1}\nk = CaseKind('x')\n"
+           "for c in CaseKind:\n    c.value\nimport exact\np = exact.nearest_pole(s, 0)\n"
+           "q = nearest_pole(s, 1)\nr = near_pole(s, 1, 2)\n")
+    assert case_members_named(src) == [2]
+    assert calls_to(src, "nearest_pole") == [7, 8]

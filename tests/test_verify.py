@@ -116,6 +116,21 @@ class TestPdeResidual:
                                            beta_model=spec.coeffs.beta_model + 1.0))
         assert pde_residual(bad, (1.0, 5.0), (0.0, 0.2), 101, 33).worst > 1e-1
 
+    def test_detects_a_wrong_amplitude_slope(self):
+        # with A' scaled by 1.01, phi(xi) is wrong but still solves the Riccati
+        # identity the analytic route differentiates by, so only the
+        # finite-difference route sees the profile: ode_residual reads ~7e-13
+        spec = fig1_spec()
+        assert pde_residual(spec, (2.0, 4.0), (0.0, 0.2), 41, 41).worst < 1e-6
+        amp = spec.forms.amp
+
+        def steeper(q, c1, c2, xi):
+            A, Ap = amp(q, c1, c2, xi)
+            return A, 1.01 * Ap
+
+        object.__setattr__(spec, "forms", spec.forms._replace(amp=steeper))
+        assert pde_residual(spec, (2.0, 4.0), (0.0, 0.2), 41, 41).worst > 1e-3
+
     def test_pole_in_window_rejected(self):
         with pytest.raises(PoleError):
             pde_residual(fig1_spec(), (-2.0, 2.0), (0.0, 0.2), 64, 33)
