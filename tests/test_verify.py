@@ -117,9 +117,10 @@ class TestPdeResidual:
         assert pde_residual(bad, (1.0, 5.0), (0.0, 0.2), 101, 33).worst > 1e-1
 
     def test_detects_a_wrong_amplitude_slope(self):
-        # with A' scaled by 1.01, phi(xi) is wrong but still solves the Riccati
-        # identity the analytic route differentiates by, so only the
-        # finite-difference route sees the profile: ode_residual reads ~7e-13
+        # with A' scaled by 1.01, phi(xi) no longer solves the Riccati identity,
+        # but ode_residual takes phi' and phi'' from that identity, so its rows
+        # stay a cubic in phi that vanishes at any phi (~7e-13 here); only the
+        # finite-difference route sees the profile
         spec = fig1_spec()
         assert pde_residual(spec, (2.0, 4.0), (0.0, 0.2), 41, 41).worst < 1e-6
         amp = spec.forms.amp
