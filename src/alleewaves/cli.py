@@ -225,16 +225,20 @@ def _sample_profile(spec, x, t):
 
     Besides the pole floor of eval_uv_masked, samples within one grid
     spacing of a pole are masked, so a period of at most two spacings is a
-    ValueError.  The header lists the poles whose xi lies in the sampled
-    window, with their x at time t.
+    ValueError, as is an x - c*t that overflows.  The header lists the poles
+    whose xi lies in the sampled window, with their x at time t.
     """
     spacing = float(x[1] - x[0]) if len(x) > 1 else 1.0
     if spec.period is not None and spec.period <= 2.0 * spacing:
         raise ValueError(f"the period {spec.period:.6g} is at most two sample spacings"
                          f" ({spacing:.6g}), so every sample would be masked")
-    u, v, ok = eval_uv_masked(spec, x, t)
     c = spec.coeffs.c
-    xi = x - c * t
+    with np.errstate(over="ignore"):
+        xi = x - c * t
+    if not np.isfinite(xi).all():
+        raise ValueError(f"x - c*t overflows at c={c:.6g}, t={t:.6g}; choose --t, --x-min"
+                         " and --x-max so that it stays finite")
+    u, v, ok = eval_uv_masked(spec, x, t)
     ok = ok & ~near_pole(spec, xi, spacing)
     lo, hi = float(xi.min()), float(xi.max())
     poles = find_singularities(spec, lo - spacing, hi + spacing)  # lo = hi at one sample

@@ -6,20 +6,17 @@ explicit and dependency-free on purpose: the simulator is an independent
 oracle for the closed-form solutions, so it must not share machinery with
 them.
 
-``step`` is a fused kernel.  It stacks (u, v) into one (2, N+2) array with a
-ghost cell at each end of each row and works on its flat view, so every
-stencil and reaction pass is one contiguous NumPy call over both species.
-Each RK4 stage fills the ghosts (reflected for zero-flux, wrapped for
-periodic), evaluates the reaction terms in Horner form into preallocated
-scratch with ``out=``, and adds the neighbour sum of both Laplacians in one
-pass.  The Laplacian's diagonal, -2y/dx^2, is folded into the reaction pass:
-the linear coefficient there is -(beta + 2/dx^2) rather than -beta, so the
-stencil itself is only (y[i-1] + y[i+1])/dx^2.  The stages accumulate in
-place in five buffers allocated per step.  The method and its checks are
-those of the textbook form, but results match it only within a tested
-tolerance, not bit for bit: beta + 2/dx^2 rounds to the resolution of
-2/dx^2, which shifts the effective beta by at most half an ulp of 2/dx^2
-(5.7e-14 at dx = 0.05), and the dynamics amplify that shift over a long run.
+``simulate`` builds one ``Run`` per call and ``step`` advances it in place.
+The run holds (u, v) stacked in (2, N+2) arrays, a ghost cell at each end
+of each row, and every buffer, view and constant a step reads; the state is
+copied out only at snapshot steps.  Each RK4 stage fills the ghosts,
+evaluates the reaction terms in Horner form into scratch and adds the
+neighbour sum of both Laplacians, each pass one contiguous NumPy call over
+both species.  The Laplacian's diagonal, -2y/dx^2, is folded into the
+reaction pass as -(beta + 2/dx^2) in place of -beta, so results match the
+textbook form only within a tested tolerance: beta + 2/dx^2 rounds to the
+resolution of 2/dx^2, a shift of at most half an ulp of 2/dx^2 (5.7e-14 at
+dx = 0.05) that a long run amplifies.
 
 Every state the integrator produces, and the initial one, must be finite
 and must keep dt times each local reaction-Jacobian eigenvalue inside RK4's
@@ -100,21 +97,20 @@ class SimConfig:
 def check_stability(cfg: SimConfig, dx: float):
     limit = STABILITY_SAFETY * dx * dx / 2.0
     if cfg.dt > limit:
-        raise StabilityError(
-            f"dt={cfg.dt:.6g} exceeds {STABILITY_SAFETY}*dx^2/2={limit:.6g}"
-        )
+        raise StabilityError(f"dt={cfg.dt:.6g} exceeds {STABILITY_SAFETY}*dx^2/2={limit:.6g}")
 
 
 def _check_state(state, t, x0, dx, cfg: SimConfig):
     """Raise unless the (2, N) state is finite and RK4 is stable on it.
 
-    The one reduction per step is max|u| and max|v|.  NaN propagates
-    through the maximum, so it flags non-finite cells, and by Gershgorin's
-    theorem it bounds every local 2x2 reaction Jacobian.  Only when dt times
-    that bound leaves RK4's real stability interval are the per-cell
-    eigenvalue magnitudes computed.
+    The one reduction per step is each row's max and min, giving max|u| and
+    max|v|.  NaN propagates through them, so they flag non-finite cells, and
+    by Gershgorin's theorem they bound every local 2x2 reaction Jacobian.
+    Only when dt times that bound leaves RK4's real stability interval are
+    the per-cell eigenvalue magnitudes computed.
     """
-    big_u, big_v = np.maximum(state.max(axis=1), -state.min(axis=1)).tolist()
+    (hi_u, hi_v), (lo_u, lo_v) = state.max(axis=1).tolist(), state.min(axis=1).tolist()
+    big_u, big_v = max(hi_u, -lo_u), max(hi_v, -lo_v)   # NaN stays NaN
     if not (math.isfinite(big_u) and math.isfinite(big_v)):
         bad = np.nonzero(~np.isfinite(state).all(axis=0))[0][0]
         raise BlowUpError(t, x0 + dx * bad)
@@ -145,78 +141,85 @@ def _check_state(state, t, x0, dx, cfg: SimConfig):
             f" {RK4_REAL_INTERVAL} at t={t:.6g}, x={x0 + dx * i:.6g}")
 
 
-def _stage_rhs(y, out, scratch, dx, cfg: SimConfig):
-    """Write the right-hand side at the stage state y into out.
+class Run:
+    """The RK4 state of one simulate call.  A step reads ``cur``, accumulates
+    in ``acc`` and swaps the two; ``y``, ``k`` and ``scratch`` hold the stages.
+    Each buffer comes with its views: (flat, prey row, predator row, left and
+    right stencil neighbours, stencil target, unpadded (2, N) state)."""
 
-    All three arrays are flat views of (2, N+2) ghost-padded arrays: prey in
-    the first N+2 entries, predator in the last, one ghost cell at each end
-    of each row.  Filling y's ghosts first makes every stencil and reaction
-    pass one contiguous operation over both species.  The entries of out at
-    the ghost cells are meaningless and never read as state.  The stencil
-    skips out's two outer entries, so they must hold finite values on entry,
-    or the ghost arithmetic raises floating-point warnings.
-    """
-    m = len(y) // 2
-    if cfg.bc == "periodic":
-        y[0], y[m - 1], y[m], y[-1] = y[m - 2], y[1], y[-2], y[m + 1]
-    else:  # zero-flux: reflect about the end nodes
-        y[0], y[m - 1], y[m], y[-1] = y[2], y[m - 3], y[m + 2], y[-3]
-    u, v = y[:m], y[m:]
-    pu, pv = scratch[:m], scratch[m:]
-    tmp = out[:m]                        # free until the stencil pass
+    def __init__(self, initial: GridField, cfg: SimConfig):
+        check_stability(cfg, initial.dx)
+        m = len(initial.u) + 2
+        self.cfg, self.x0, self.dx, self.t0, self.t, self.i, self.m = (
+            cfg, initial.x0, initial.dx, initial.t, initial.t, 0, m)
+        bufs = np.empty((5, 2 * m))
+        bufs[0].reshape(2, m)[:, 1:-1] = initial.u, initial.v
+        self.cur, self.acc, self.y, self.k, self.scratch = [
+            (b, b[:m], b[m:], b[:-2], b[2:], b[1:-1], b.reshape(2, m)[:, 1:-1])
+            for b in bufs]
+        # where y[0], y[m-1], y[m], y[-1] are read from: wrapped or reflected
+        self.ghosts = ((m - 2, 1, 2 * m - 2, m + 1) if cfg.bc == "periodic"
+                       else (2, m - 3, m + 2, 2 * m - 3))
+        self.ks = cfg.k + 1.0 / math.sqrt(cfg.delta)
+        self.inv_dx2 = 1.0 / (initial.dx * initial.dx)
+        self.diag = cfg.beta + 2.0 * self.inv_dx2  # the Laplacian's diagonal term
+
+    def snapshot(self) -> GridField:
+        """The current state on a copy of its padded buffer."""
+        u, v = self.cur[0].copy().reshape(2, self.m)[:, 1:-1]
+        return GridField(self.x0, self.dx, u, v, self.t)
+
+
+def _stage_rhs(y, out, run: Run):
+    """Write the right-hand side at the stage state y into out (view tuples);
+    the stencil skips out's two outer entries, which must be finite on entry."""
+    y, u, v, left, right = y[:5]
+    out, tmp, inner = out[0], out[1], out[5]
+    scratch, pu, pv = run.scratch[:3]
+    m, (a, b, c, d) = run.m, run.ghosts
+    y[0], y[m - 1], y[m], y[-1] = y[a], y[b], y[c], y[d]
     # prey: u*((k+s-u)*u - v - beta), predator: v*(k*u - delta*v^2 - beta)
-    np.subtract(cfg.k + 1.0 / math.sqrt(cfg.delta), u, out=pu)
+    np.subtract(run.ks, u, out=pu)
     pu *= u
     pu -= v
     np.multiply(v, v, out=pv)
-    pv *= -cfg.delta
-    np.multiply(u, cfg.k, out=tmp)
+    pv *= -run.cfg.delta
+    np.multiply(u, run.cfg.k, out=tmp)   # tmp is free until the stencil pass
     pv += tmp
-    inv_dx2 = 1.0 / (dx * dx)
-    scratch -= cfg.beta + 2.0 * inv_dx2  # the Laplacian's diagonal term
+    scratch -= run.diag
     scratch *= y
-    np.add(y[:-2], y[2:], out=out[1:-1])
-    out *= inv_dx2
+    np.add(left, right, out=inner)
+    out *= run.inv_dx2
     out += scratch
 
 
-def step(field: GridField, cfg: SimConfig) -> GridField:
-    """One classical RK4 step."""
-    check_stability(cfg, field.dx)
-    dt, dx = cfg.dt, field.dx
-    n = len(field.u)
-    padded = np.empty((2, n + 2))
-    padded[0, 1:-1] = field.u
-    padded[1, 1:-1] = field.v
-    y0 = padded.ravel()
-    y = np.empty_like(y0)
-    scratch = np.empty_like(y0)
-    k = np.empty_like(y0)
-    acc = np.empty_like(y0)              # its own block: snapshots keep it alive
-    k[0] = k[-1] = acc[0] = acc[-1] = 0.0  # the stencil skips both ends
+def step(run: Run):
+    """Advance the run by one classical RK4 step."""
+    dt, y0, acc = run.cfg.dt, run.cur, run.acc
+    a, y, k = acc[0], run.y[0], run.k[0]
+    # each stage scales out's outer entries by 1/dx^2 and the stencil never
+    # writes them, so they are zeroed every step before they can overflow
+    a[0] = a[-1] = k[0] = k[-1] = 0.0
     # acc collects (k1 + 2 k2 + 2 k3 + k4) / 2; halving is exact, so the
     # sums round as in the textbook form
-    _stage_rhs(y0, acc, scratch, dx, cfg)
-    acc *= 0.5
-    np.multiply(acc, dt, out=y)          # dt * k1/2 == dt/2 * k1 exactly
-    y += y0
-    _stage_rhs(y, k, scratch, dx, cfg)
-    acc += k
-    np.multiply(k, 0.5 * dt, out=y)
-    y += y0
-    _stage_rhs(y, k, scratch, dx, cfg)
-    acc += k
-    np.multiply(k, dt, out=y)
-    y += y0
-    _stage_rhs(y, k, scratch, dx, cfg)
+    _stage_rhs(y0, acc, run)
+    a *= 0.5
+    np.multiply(a, dt, out=y)            # dt * k1/2 == dt/2 * k1 exactly
+    for h in (0.5 * dt, dt):             # stages 2 and 3
+        y += y0[0]
+        _stage_rhs(run.y, run.k, run)
+        a += k
+        np.multiply(k, h, out=y)
+    y += y0[0]
+    _stage_rhs(run.y, run.k, run)
     k *= 0.5
-    acc += k
-    acc *= dt / 3.0
-    acc += y0
-    new = acc.reshape(2, n + 2)[:, 1:-1]
-    tn = field.t + dt
-    _check_state(new, tn, field.x0, dx, cfg)
-    return GridField(field.x0, dx, new[0], new[1], tn)
+    a += k
+    a *= dt / 3.0
+    a += y0[0]
+    run.cur, run.acc = acc, y0
+    run.i += 1
+    run.t = run.t0 + run.i * dt
+    _check_state(acc[6], run.t, run.x0, run.dx, run.cfg)
 
 
 def simulate(initial: GridField, cfg: SimConfig):
@@ -225,17 +228,14 @@ def simulate(initial: GridField, cfg: SimConfig):
     The initial field is always the first snapshot and the final field the
     last one.  Deterministic for identical inputs.
     """
-    check_stability(cfg, initial.dx)
-    _check_state(np.stack((initial.u, initial.v)), initial.t, initial.x0,
-                 initial.dx, cfg)
+    run = Run(initial, cfg)
+    _check_state(run.cur[6], initial.t, initial.x0, initial.dx, cfg)
     n_steps = round(cfg.t_end / cfg.dt)
     snapshots = [initial]
-    f = initial
     for i in range(1, n_steps + 1):
-        f = step(f, cfg)
+        step(run)
         if i % cfg.snapshot_every == 0 or i == n_steps:
-            f = GridField(f.x0, f.dx, f.u, f.v, initial.t + i * cfg.dt)
-            snapshots.append(f)
+            snapshots.append(run.snapshot())
     return snapshots
 
 

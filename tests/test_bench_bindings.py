@@ -116,3 +116,26 @@ def test_bench_argv_resolves_alike_from_the_one_command_parser(tmp_path):
     for argv in argvs:
         assert (cli.resolve(cli.build_parser(argv).parse_args(argv))
                 == cli.resolve(cli.build_parser().parse_args(argv)))
+
+
+def test_tracer_counts_every_rk4_step(tmp_path):
+    # sim.steps, sim.rhs_evals and sim.ns_per_cell_step.* all read the
+    # tracer's count of sim.step calls, so simulate must call the module's
+    # step once per RK4 step or they silently read 0
+    import alleewaves.algebraic  # noqa: F401  the tracer binds its least_squares
+    from alleewaves import cli
+    tracing, workloads = _load_bench("tracing"), _load_bench("workloads")
+    par = workloads.Front.draw(np.random.default_rng(0))
+    t_end, dt = 1.0, 0.05
+    argv = workloads.Front(x_half=10.0, t_end=t_end, snapshots=5).simulate_argv(
+        par, 0.5, dt, tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    n_steps = round(t_end / dt)
+    assert tracer.steps == n_steps == 20
+    metrics = tracing.per_layer_metrics(tracer.spans, 1, [])
+    assert (metrics["sim.steps"], metrics["sim.rhs_evals"]) == (n_steps, 4 * n_steps)

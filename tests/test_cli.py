@@ -72,6 +72,15 @@ class TestEval:
         assert err.startswith("error: lambda^2 - 4*mu overflows at lambda=1.41")
         assert "--alpha0 1e+200" in err
 
+    def test_overflowing_xi_names_the_flags(self, tmp_path, capsys):
+        # x - c*t overflows to -inf; the error named the pole window (xi_lo, xi_hi)
+        assert main(["eval", "--family", "A", "--alpha0", "1", "--mu", "0.2", "--k", "1e150",
+                     "--delta", "2", "--t", "1e300", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: x - c*t overflows at c=-7.07107e+149, t=1e+300;")
+        assert all(flag in err for flag in ("--t", "--x-min", "--x-max"))
+        assert "xi_lo" not in err and not (tmp_path / "eval.csv").exists()
+
     @pytest.mark.parametrize("values", [["--c2", "-1e-3"], ["--x-min", "-1e1", "--x-max", "1e1"]],
                              ids=["c2", "window"])
     def test_negative_e_notation_value(self, tmp_path, values):

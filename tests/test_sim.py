@@ -11,7 +11,7 @@ import alleewaves.sim as sim
 from alleewaves.errors import BlowUpError, StabilityError, TrackingError
 from alleewaves.exact import eval_uv_masked, make_spec
 from alleewaves.sim import (RK4_REAL_INTERVAL, STABILITY_SAFETY, GridField,
-                            SimConfig, _check_state, check_stability,
+                            Run, SimConfig, _check_state, check_stability,
                             measure_wave_speed, simulate, step)
 
 
@@ -80,6 +80,83 @@ def reference_step(field: GridField, cfg: SimConfig) -> GridField:
         bad = np.nonzero(~(np.isfinite(un) & np.isfinite(vn)))[0][0]
         raise BlowUpError(tn, field.x0 + field.dx * bad)
     return replace(field, u=un, v=vn, t=tn)
+
+
+
+# Frozen copies of the per-step kernel simulate used before it kept one run
+# state per call: same arithmetic, but every buffer, view and GridField is
+# rebuilt on each step.  simulate must match them bit for bit.
+def _frozen_stage_rhs(y, out, scratch, dx, cfg: SimConfig):
+    m = len(y) // 2
+    if cfg.bc == "periodic":
+        y[0], y[m - 1], y[m], y[-1] = y[m - 2], y[1], y[-2], y[m + 1]
+    else:  # zero-flux: reflect about the end nodes
+        y[0], y[m - 1], y[m], y[-1] = y[2], y[m - 3], y[m + 2], y[-3]
+    u, v = y[:m], y[m:]
+    pu, pv = scratch[:m], scratch[m:]
+    tmp = out[:m]
+    np.subtract(cfg.k + 1.0 / math.sqrt(cfg.delta), u, out=pu)
+    pu *= u
+    pu -= v
+    np.multiply(v, v, out=pv)
+    pv *= -cfg.delta
+    np.multiply(u, cfg.k, out=tmp)
+    pv += tmp
+    inv_dx2 = 1.0 / (dx * dx)
+    scratch -= cfg.beta + 2.0 * inv_dx2
+    scratch *= y
+    np.add(y[:-2], y[2:], out=out[1:-1])
+    out *= inv_dx2
+    out += scratch
+
+
+def frozen_step(field: GridField, cfg: SimConfig) -> GridField:
+    check_stability(cfg, field.dx)
+    dt, dx = cfg.dt, field.dx
+    n = len(field.u)
+    padded = np.empty((2, n + 2))
+    padded[0, 1:-1] = field.u
+    padded[1, 1:-1] = field.v
+    y0 = padded.ravel()
+    y = np.empty_like(y0)
+    scratch = np.empty_like(y0)
+    k = np.empty_like(y0)
+    acc = np.empty_like(y0)
+    k[0] = k[-1] = acc[0] = acc[-1] = 0.0
+    _frozen_stage_rhs(y0, acc, scratch, dx, cfg)
+    acc *= 0.5
+    np.multiply(acc, dt, out=y)
+    y += y0
+    _frozen_stage_rhs(y, k, scratch, dx, cfg)
+    acc += k
+    np.multiply(k, 0.5 * dt, out=y)
+    y += y0
+    _frozen_stage_rhs(y, k, scratch, dx, cfg)
+    acc += k
+    np.multiply(k, dt, out=y)
+    y += y0
+    _frozen_stage_rhs(y, k, scratch, dx, cfg)
+    k *= 0.5
+    acc += k
+    acc *= dt / 3.0
+    acc += y0
+    new = acc.reshape(2, n + 2)[:, 1:-1]
+    tn = field.t + dt
+    _check_state(new, tn, field.x0, dx, cfg)
+    return GridField(field.x0, dx, new[0], new[1], tn)
+
+
+def frozen_simulate(initial: GridField, cfg: SimConfig):
+    """simulate's snapshots, by chaining frozen_step."""
+    n_steps = round(cfg.t_end / cfg.dt)
+    snapshots = [initial]
+    f = initial
+    for i in range(1, n_steps + 1):
+        f = frozen_step(f, cfg)
+        if i % cfg.snapshot_every == 0 or i == n_steps:
+            f = GridField(f.x0, f.dx, f.u, f.v, initial.t + i * cfg.dt)
+            snapshots.append(f)
+    return snapshots
 
 
 class TestConfigAndGrid:
@@ -197,7 +274,7 @@ class TestDynamics:
         f = uniform_field(1e160, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError):
-                step(f, cfg)
+                step(Run(f, cfg))
 
     @pytest.mark.parametrize("spike", [1e6, 1e20])
     def test_blowup_names_the_bad_cell(self, spike):
@@ -210,7 +287,7 @@ class TestDynamics:
         cfg = SimConfig(k=1.0, delta=1.0, beta=1.0, dt=1e-3, t_end=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BlowUpError) as got:
-                step(f, cfg)
+                step(Run(f, cfg))
             with pytest.raises(BlowUpError) as want:
                 reference_step(f, cfg)
         assert got.value.t == 0.25 + 1e-3
@@ -248,9 +325,9 @@ class TestDynamics:
         # the tracer counts sim.steps and sim.rhs_evals through sim.step
         calls = []
 
-        def counting_step(field, cfg):
-            calls.append(field.t)
-            return step(field, cfg)
+        def counting_step(run):
+            calls.append(run.t)
+            return step(run)
 
         monkeypatch.setattr(sim, "step", counting_step)
         cfg = SimConfig(k=1.0, delta=1.0, beta=1.0, dt=1e-3, t_end=0.05,
@@ -289,7 +366,7 @@ class TestReactionStiffness:
     def test_step_rejects_stiff_result(self):
         f, cfg = self.stiff(np.full(8, 2.0))
         with pytest.raises(StabilityError, match=r"at t=0\.4, x=-3\.5$"):
-            step(f, cfg)
+            step(Run(f, cfg))
 
     def test_names_first_offending_cell(self):
         v = np.full(8, 0.1)
@@ -353,7 +430,9 @@ class TestReferenceKernel:
         dt = dt_frac * (STABILITY_SAFETY * dx * dx / 2.0)
         cfg = SimConfig(k=k, delta=delta, beta=beta, dt=dt, t_end=dt, bc=bc)
         f = GridField(x0=-1.0, dx=dx, u=u, v=v, t=0.0)
-        got, want = step(f, cfg), reference_step(f, cfg)
+        run = Run(f, cfg)
+        step(run)
+        got, want = run.snapshot(), reference_step(f, cfg)
         scale = max(np.max(np.abs(a)) for a in (u, v, want.u, want.v))
         assert np.max(np.abs(got.u - want.u)) <= 1e-12 * scale
         assert np.max(np.abs(got.v - want.v)) <= 1e-12 * scale
@@ -393,6 +472,54 @@ class TestReferenceKernel:
             want = reference_step(want, cfg)
         assert np.max(np.abs(got.u - want.u)) <= 1e-10
         assert np.max(np.abs(got.v - want.v)) <= 1e-10
+
+
+
+class TestFrozenKernel:
+    """simulate against frozen_simulate, bit for bit."""
+
+    def assert_identical(self, f0, cfg):
+        got, want = simulate(f0, cfg), frozen_simulate(f0, cfg)
+        assert [f.t for f in got] == [f.t for f in want]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.u, w.u) and np.array_equal(g.v, w.v)
+        return got
+
+    @pytest.mark.parametrize("bc", ["neumann", "periodic"])
+    def test_criterion_5_grid(self, bc):
+        # the acceptance wave-speed run: N=1601, 2000 steps
+        spec = make_spec("A", 1.2, 0.2, 5.9, 3.0, "upper", 10.0, 20.0)
+        dx = 0.05
+        x = np.arange(-40.0, 40.0 + 0.5 * dx, dx)
+        u0, v0, _ = eval_uv_masked(spec, x, 0.0)
+        cfg = SimConfig(k=5.9, delta=3.0, beta=spec.coeffs.beta_model,
+                        dt=0.001, t_end=2.0, bc=bc, snapshot_every=250)
+        self.assert_identical(GridField(x0=float(x[0]), dx=dx, u=u0, v=v0, t=0.0), cfg)
+
+    def test_periodic_front_crosses_the_seam(self):
+        # the high prey state on (-2, 38) invades the low one to its right,
+        # across the seam at x = 40 = -40, where the wrapped ghosts carry it
+        n, dx, dt = 801, 0.1, 0.004
+        x = -40.0 + dx * np.arange(n)
+        phase = 2.0 * math.pi * (x + 2.0) / (n * dx)
+        u0 = 0.5 * (1.0 + np.tanh(4.0 * np.sin(phase)))
+        v0 = 0.4 * (1.0 - np.cos(phase))
+        cfg = SimConfig(k=5.9, delta=3.0, beta=0.4, dt=dt, t_end=500 * dt,
+                        bc="periodic", snapshot_every=50)
+        f0 = GridField(x0=float(x[0]), dx=dx, u=u0, v=v0, t=0.0)
+        final = self.assert_identical(f0, cfg)[-1]
+        assert f0.u[0] < 1.0 < final.u[0] and f0.u[-1] < 1.0 < final.u[-1]
+
+    def test_long_run_keeps_stage_buffer_ends_finite(self):
+        # the stencil never writes the stage buffers' outer entries and each
+        # stage scales them by 1/dx^2 = 100; zeroed only once, they overflow
+        # after about 50 steps and filterwarnings = error fails this run
+        n, dx, dt = 16, 0.1, 0.004
+        x = dx * np.arange(n)
+        u0 = 0.6 + 0.3 * np.cos(2.0 * math.pi * x / (n * dx))
+        cfg = SimConfig(k=1.0, delta=1.0, beta=0.5, dt=dt, t_end=20000 * dt,
+                        snapshot_every=5000)
+        self.assert_identical(GridField(x0=0.0, dx=dx, u=u0, v=0.5 * u0, t=0.0), cfg)
 
 
 class TestWaveSpeed:
