@@ -151,7 +151,7 @@ def _parse_config(path, params):
 def resolve(ns) -> dict:
     """The command's parameter values: defaults, then --config, then flags;
     ValueError names what is missing, the flag whose value is out of range,
-    or the two flags of a window given in the wrong order."""
+    or the two flags of a window in the wrong order or too wide."""
     params = [p for p in PARAMS if ns.cmd in p.defaults]
     par = {p.name: p.defaults[ns.cmd] for p in params}
     if getattr(ns, "config", None):
@@ -167,8 +167,9 @@ def resolve(ns) -> dict:
             raise ValueError(f"{p.flag}: {p.name} must be {want}, got {par[p.name]}")
     flag = {p.name: p.flag for p in params}
     for lo, hi in (("x_min", "x_max"), ("xi_min", "xi_max")):  # window ends
-        if lo in par and not par[lo] < par[hi]:
-            raise ValueError(f"{flag[lo]} {par[lo]} must be less than {flag[hi]} {par[hi]}")
+        if lo in par and not 0.0 < par[hi] - par[lo] < math.inf:  # the width must not overflow
+            raise ValueError(f"{flag[lo]} {par[lo]} must be less than {flag[hi]} {par[hi]}"
+                             " by a finite width")
     return par
 
 
@@ -358,9 +359,10 @@ def cmd_simulate(par, out) -> int:
     hdr = {**_ARTIFACT, "command": "simulate",
            **{key: par[key] for key in sorted(par) if par[key] is not None},
            "c": co.c, "beta": co.beta_model}
+    xs = np.array([FLOAT_FMT % val for val in field.x.tolist()])  # all snapshots' grid
     for i, f in enumerate(snaps):
         write_csv(out / f"snapshot_{i:03d}.csv", {**hdr, "t": f.t},
-                  {"x": f.x, "u": f.u, "v": f.v})
+                  {"x": xs, "u": f.u, "v": f.v})
     print(f"wrote {len(snaps)} snapshots to {out}")
 
     if par["measure_speed"]:

@@ -2,14 +2,14 @@
 
 CSV layout: '# key=value' provenance lines, a column-name row, then data
 rows with floats printed at 17 significant digits so re-parsing is lossless.
-Masked samples become empty cells plus a nonzero pole_flag.
+Masked samples become empty cells plus a nonzero pole_flag.  A str column
+is written verbatim (``%s`` cells): a column shared by files is formatted once.
 
 Both writers format in bulk rather than cell by cell.  ``write_csv`` works
 in blocks of ``_ROW_BLOCK`` rows, so its peak memory does not grow with the
 row count: each column's block becomes a list in one call, and one ``%``
 over the joined row templates and the flat cell values formats the block.
-A masked row's template prints x and swallows its other cells with
-``%.0s``.
+A masked row's template prints x and swallows its other cells with ``%.0s``.
 ``_svg_path`` maps the finite samples to pixels as arrays, with the same
 IEEE operations in the same order as the scalar form, and formats them with
 one ``%``: the template joins one ``M%.2f,%.2f`` or ``L%.2f,%.2f`` per point
@@ -39,7 +39,7 @@ def _fmt(val) -> str:
 
 
 def write_csv(path, header: dict, columns: dict, mask=None):
-    """Write columns (name -> 1d array) with provenance header.
+    """Write columns (name -> 1d array, str ones verbatim) with provenance header.
 
     mask, if given, marks valid rows; invalid rows get empty numeric cells
     and pole_flag=1.
@@ -53,10 +53,11 @@ def write_csv(path, header: dict, columns: dict, mask=None):
         raise ValueError("all columns must have the same length")
     if mask is not None and len(mask) != n:
         raise ValueError("mask length must match the columns")
-    row = ",".join([FLOAT_FMT] * len(names))
+    cell = ["%s" if a.dtype.kind == "U" else FLOAT_FMT for a in arrays]
+    row = ",".join(cell)
     if mask is not None:
         # a masked row keeps x; %.0s consumes each other cell and prints nothing
-        templates = (FLOAT_FMT + ",%.0s" * (len(names) - 1) + ",1\n", row + ",0\n")
+        templates = (cell[0] + ",%.0s" * (len(names) - 1) + ",1\n", row + ",0\n")
         valid = np.asarray(mask, dtype=bool)
     with open(path, "w") as fh:
         for key, val in header.items():

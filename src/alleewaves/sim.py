@@ -8,15 +8,15 @@ them.
 
 ``simulate`` builds one ``Run`` per call and ``step`` advances it in place.
 The run holds (u, v) stacked in (2, N+2) arrays, a ghost cell at each end
-of each row, and every buffer, view and constant a step reads; the state is
-copied out only at snapshot steps.  Each RK4 stage fills the ghosts,
-evaluates the reaction terms in Horner form into scratch and adds the
-neighbour sum of both Laplacians, each pass one contiguous NumPy call over
-both species.  The Laplacian's diagonal, -2y/dx^2, is folded into the
-reaction pass as -(beta + 2/dx^2) in place of -beta, so results match the
-textbook form only within a tested tolerance: beta + 2/dx^2 rounds to the
-resolution of 2/dx^2, a shift of at most half an ulp of 2/dx^2 (5.7e-14 at
-dx = 0.05) that a long run amplifies.
+of each row, and binds once every buffer, view and constant (a 0-d array)
+a step reads; the state is copied out only at snapshot steps.  Each RK4
+stage fills the ghosts, evaluates the reaction terms in Horner form into
+scratch and adds the neighbour sum of both Laplacians, each pass one
+contiguous NumPy call over both species.  The Laplacian's diagonal,
+-2y/dx^2, is folded into the reaction pass as -(beta + 2/dx^2) in place of
+-beta, so results match the textbook form only within a tested tolerance:
+beta + 2/dx^2 rounds to the resolution of 2/dx^2, a shift of at most half
+an ulp of 2/dx^2 (5.7e-14 at dx = 0.05) that a long run amplifies.
 
 Every state the integrator produces, and the initial one, must be finite
 and must keep dt times each local reaction-Jacobian eigenvalue inside RK4's
@@ -100,32 +100,36 @@ def check_stability(cfg: SimConfig, dx: float):
         raise StabilityError(f"dt={cfg.dt:.6g} exceeds {STABILITY_SAFETY}*dx^2/2={limit:.6g}")
 
 
-def _check_state(state, t, x0, dx, cfg: SimConfig):
+def _coeffs(cfg: SimConfig):
+    return cfg.dt, 2.0 * (cfg.k + 1.0 / math.sqrt(cfg.delta)), cfg.k, 3.0 * cfg.delta, cfg.beta
+
+
+def _check_state(state, t, x0, dx, cfg: SimConfig, coeffs=None):
     """Raise unless the (2, N) state is finite and RK4 is stable on it.
 
     The one reduction per step is each row's max and min, giving max|u| and
     max|v|.  NaN propagates through them, so they flag non-finite cells, and
-    by Gershgorin's theorem they bound every local 2x2 reaction Jacobian.
-    Only when dt times that bound leaves RK4's real stability interval are
-    the per-cell eigenvalue magnitudes computed.
+    by Gershgorin's theorem they bound every local 2x2 reaction Jacobian, with
+    coeffs (a run's ``_coeffs(cfg)``).  Only when dt times that bound leaves
+    RK4's real stability interval are the per-cell eigenvalue magnitudes computed.
     """
-    (hi_u, hi_v), (lo_u, lo_v) = state.max(axis=1).tolist(), state.min(axis=1).tolist()
+    dt, two_ks, k, three_delta, beta = coeffs or _coeffs(cfg)
+    (hi_u, hi_v), (lo_u, lo_v) = (np.maximum.reduce(state, axis=1).tolist(),
+                                  np.minimum.reduce(state, axis=1).tolist())
     big_u, big_v = max(hi_u, -lo_u), max(hi_v, -lo_v)   # NaN stays NaN
     if not (math.isfinite(big_u) and math.isfinite(big_v)):
         bad = np.nonzero(~np.isfinite(state).all(axis=0))[0][0]
         raise BlowUpError(t, x0 + dx * bad)
-    k, delta, beta = cfg.k, cfg.delta, cfg.beta
     # row sums of |J|, J = [[2(k+s)u - 3u^2 - v - beta, -u],
     #                       [k v, k u - 3 delta v^2 - beta]]
-    bound = max(2.0 * (k + 1.0 / math.sqrt(delta)) * big_u + 3.0 * big_u * big_u
-                + big_v + beta + big_u,
-                k * big_v + k * big_u + 3.0 * delta * big_v * big_v + beta)
-    if cfg.dt * bound <= RK4_REAL_INTERVAL:
+    bound = max(two_ks * big_u + 3.0 * big_u * big_u + big_v + beta + big_u,
+                k * big_v + k * big_u + three_delta * big_v * big_v + beta)
+    if dt * bound <= RK4_REAL_INTERVAL:
         return
     u, v = state
     with np.errstate(over="ignore", invalid="ignore"):
-        a = (2.0 * (k + 1.0 / math.sqrt(delta)) - 3.0 * u) * u - v - beta
-        d = k * u - 3.0 * delta * v * v - beta
+        a = (two_ks - 3.0 * u) * u - v - beta
+        d = k * u - three_delta * v * v - beta
         half_tr = 0.5 * (a + d)
         det = a * d + k * u * v
         disc = half_tr * half_tr - det
@@ -142,10 +146,12 @@ def _check_state(state, t, x0, dx, cfg: SimConfig):
 
 
 class Run:
-    """The RK4 state of one simulate call.  A step reads ``cur``, accumulates
-    in ``acc`` and swaps the two; ``y``, ``k`` and ``scratch`` hold the stages.
-    Each buffer comes with its views: (flat, prey row, predator row, left and
-    right stencil neighbours, stencil target, unpadded (2, N) state)."""
+    """The RK4 state of one simulate call, with each step's views and constants
+    bound once.  A step reads ``cur``, accumulates in ``acc`` and swaps the two;
+    ``y``, ``k`` and ``scratch`` hold the stages.  Each buffer has its views:
+    (flat, prey row, predator row, left and right stencil neighbours, stencil
+    target, unpadded (2, N) state).  ``now`` and ``after``, one per direction of
+    the swap, hold cur, acc, cur's unpadded state and stage 1's arguments."""
 
     def __init__(self, initial: GridField, cfg: SimConfig):
         check_stability(cfg, initial.dx)
@@ -154,72 +160,78 @@ class Run:
             cfg, initial.x0, initial.dx, initial.t, initial.t, 0, m)
         bufs = np.empty((5, 2 * m))
         bufs[0].reshape(2, m)[:, 1:-1] = initial.u, initial.v
-        self.cur, self.acc, self.y, self.k, self.scratch = [
+        cur, acc, y, k, scratch = [
             (b, b[:m], b[m:], b[:-2], b[2:], b[1:-1], b.reshape(2, m)[:, 1:-1])
             for b in bufs]
         # where y[0], y[m-1], y[m], y[-1] are read from: wrapped or reflected
-        self.ghosts = ((m - 2, 1, 2 * m - 2, m + 1) if cfg.bc == "periodic"
-                       else (2, m - 3, m + 2, 2 * m - 3))
-        self.ks = cfg.k + 1.0 / math.sqrt(cfg.delta)
-        self.inv_dx2 = 1.0 / (initial.dx * initial.dx)
-        self.diag = cfg.beta + 2.0 * self.inv_dx2  # the Laplacian's diagonal term
+        src = (m - 2, 1, 2 * m - 2, m + 1) if cfg.bc == "periodic" else (2, m - 3, m + 2, 2 * m - 3)
+        inv_dx2 = 1.0 / (initial.dx * initial.dx)
+        # scalars as 0-d arrays, which a ufunc takes faster than Python floats;
+        # beta + 2/dx^2 folds in the Laplacian's diagonal term
+        ks, neg_delta, rate, diag, inv_dx2, half, dt, half_dt, third_dt = map(np.array, (
+            cfg.k + 1.0 / math.sqrt(cfg.delta), -cfg.delta, cfg.k, cfg.beta + 2.0 * inv_dx2,
+            inv_dx2, 0.5, cfg.dt, 0.5 * cfg.dt, cfg.dt / 3.0))
+        first, second, later = [(*i[:5], *o[:2], o[5], *scratch[:3], m - 1, m, *src, ks,
+                                 neg_delta, rate, diag, inv_dx2)
+                                for i, o in ((cur, acc), (acc, cur), (y, k))]
+        self.now, self.after = (cur[0], acc[0], cur[6], first), (acc[0], cur[0], acc[6], second)
+        self.stages = (y[0], k[0], later, half, dt, half_dt, third_dt)
+        self.coeffs = _coeffs(cfg)
 
     def snapshot(self) -> GridField:
         """The current state on a copy of its padded buffer."""
-        u, v = self.cur[0].copy().reshape(2, self.m)[:, 1:-1]
+        u, v = self.now[0].copy().reshape(2, self.m)[:, 1:-1]
         return GridField(self.x0, self.dx, u, v, self.t)
 
 
-def _stage_rhs(y, out, run: Run):
-    """Write the right-hand side at the stage state y into out (view tuples);
-    the stencil skips out's two outer entries, which must be finite on entry."""
-    y, u, v, left, right = y[:5]
-    out, tmp, inner = out[0], out[1], out[5]
-    scratch, pu, pv = run.scratch[:3]
-    m, (a, b, c, d) = run.m, run.ghosts
-    y[0], y[m - 1], y[m], y[-1] = y[a], y[b], y[c], y[d]
+def _stage_rhs(y, u, v, left, right, out, tmp, inner, scratch, pu, pv,
+               m1, m, a, b, c, d, ks, neg_delta, k, diag, inv_dx2):
+    """Write the right-hand side at the stage state y into out (views and
+    constants bound by ``Run``); the stencil skips out's two outer entries,
+    which must be finite on entry."""
+    y[0], y[m1], y[m], y[-1] = y[a], y[b], y[c], y[d]
     # prey: u*((k+s-u)*u - v - beta), predator: v*(k*u - delta*v^2 - beta)
-    np.subtract(run.ks, u, out=pu)
+    np.subtract(ks, u, pu)
     pu *= u
     pu -= v
-    np.multiply(v, v, out=pv)
-    pv *= -run.cfg.delta
-    np.multiply(u, run.cfg.k, out=tmp)   # tmp is free until the stencil pass
+    np.multiply(v, v, pv)
+    pv *= neg_delta
+    np.multiply(u, k, tmp)   # tmp is free until the stencil pass
     pv += tmp
-    scratch -= run.diag
+    scratch -= diag
     scratch *= y
-    np.add(left, right, out=inner)
-    out *= run.inv_dx2
+    np.add(left, right, inner)
+    out *= inv_dx2
     out += scratch
 
 
 def step(run: Run):
     """Advance the run by one classical RK4 step."""
-    dt, y0, acc = run.cfg.dt, run.cur, run.acc
-    a, y, k = acc[0], run.y[0], run.k[0]
+    y0, a, _, first = run.now
+    y, k, later, half, dt, half_dt, third_dt = run.stages
     # each stage scales out's outer entries by 1/dx^2 and the stencil never
     # writes them, so they are zeroed every step before they can overflow
     a[0] = a[-1] = k[0] = k[-1] = 0.0
     # acc collects (k1 + 2 k2 + 2 k3 + k4) / 2; halving is exact, so the
     # sums round as in the textbook form
-    _stage_rhs(y0, acc, run)
-    a *= 0.5
-    np.multiply(a, dt, out=y)            # dt * k1/2 == dt/2 * k1 exactly
-    for h in (0.5 * dt, dt):             # stages 2 and 3
-        y += y0[0]
-        _stage_rhs(run.y, run.k, run)
+    _stage_rhs(*first)
+    a *= half
+    np.multiply(a, dt, y)                # dt * k1/2 == dt/2 * k1 exactly
+    for h in (half_dt, dt):              # stages 2 and 3
+        y += y0
+        _stage_rhs(*later)
         a += k
-        np.multiply(k, h, out=y)
-    y += y0[0]
-    _stage_rhs(run.y, run.k, run)
-    k *= 0.5
+        np.multiply(k, h, y)
+    y += y0
+    _stage_rhs(*later)
+    k *= half
     a += k
-    a *= dt / 3.0
-    a += y0[0]
-    run.cur, run.acc = acc, y0
+    a *= third_dt
+    a += y0
+    run.now, run.after = run.after, run.now
     run.i += 1
-    run.t = run.t0 + run.i * dt
-    _check_state(acc[6], run.t, run.x0, run.dx, run.cfg)
+    run.t = run.t0 + run.i * run.cfg.dt
+    _check_state(run.now[2], run.t, run.x0, run.dx, run.cfg, run.coeffs)
 
 
 def simulate(initial: GridField, cfg: SimConfig):
@@ -229,7 +241,7 @@ def simulate(initial: GridField, cfg: SimConfig):
     last one.  Deterministic for identical inputs.
     """
     run = Run(initial, cfg)
-    _check_state(run.cur[6], initial.t, initial.x0, initial.dx, cfg)
+    _check_state(run.now[2], initial.t, initial.x0, initial.dx, cfg, run.coeffs)
     n_steps = round(cfg.t_end / cfg.dt)
     snapshots = [initial]
     for i in range(1, n_steps + 1):

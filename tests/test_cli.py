@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from alleewaves import cli
 from alleewaves.cli import COMMANDS, FIGURES, PARAMS, build_parser, main
 from alleewaves.exact import eval_uv_masked, make_spec
-from alleewaves.output import read_csv
+from alleewaves.output import read_csv, write_csv
+from alleewaves.sim import simulate
 
 FIG1 = ["--family", "A", "--alpha0", "1.2", "--mu", "0.2", "--k", "5.9",
         "--delta", "3", "--c1", "20", "--c2", "10"]
@@ -283,6 +285,24 @@ class TestSimulate:
         assert main(["simulate", "--family", "A", "--out", str(tmp_path)]) == 2
         assert "missing" in capsys.readouterr().err
 
+    def test_snapshots_match_a_float_path_write(self, tmp_path, monkeypatch):
+        # cmd_simulate formats x once for all snapshots; each file must keep the
+        # bytes write_csv gives the snapshot's own floats
+        snaps = []
+
+        def keep(*args):
+            snaps.extend(simulate(*args))
+            return snaps
+
+        monkeypatch.setattr(cli, "simulate", keep)
+        assert main(["simulate", *SIM_BASE, "--dt", "0.004", "--t-end", "0.1",
+                     "--snapshot-every", "5", "--out", str(tmp_path)]) == 0
+        assert len(snaps) == 6
+        for i, f in enumerate(snaps):
+            path, direct = tmp_path / f"snapshot_{i:03d}.csv", tmp_path / "direct.csv"
+            write_csv(direct, read_csv(path)[0], {"x": f.x, "u": f.u, "v": f.v})
+            assert path.read_bytes() == direct.read_bytes()
+
     def test_single_exponential_seed_is_pole_free(self, tmp_path):
         # c1 = c2 makes G one exponential: phi is constant and finite on the
         # whole line, far tails included
@@ -448,15 +468,19 @@ WINDOWS = {"eval": ("x_min", "x_max"), "simulate": ("x_min", "x_max"),
 
 
 @pytest.mark.parametrize("cmd", WINDOWS)
-@pytest.mark.parametrize("lo, hi", [("5", "-5"), ("1", "1")], ids=["reversed", "equal"])
+@pytest.mark.parametrize("lo, hi", [("5", "-5"), ("1", "1"), ("-1.7e308", "1.7e308")],
+                         ids=["reversed", "equal", "width-overflows"])
 def test_window_order_is_usage_error(tmp_path, capsys, cmd, lo, hi):
+    # an overflowing width made eval print two NumPy RuntimeWarnings and blame
+    # --t, and simulate stop with NumPy's bare "Maximum allowed size exceeded"
     out = tmp_path / "out"
     name_lo, name_hi = WINDOWS[cmd]
     argv = table_argv(cmd, {**VALID[cmd], name_lo: lo, name_hi: hi})
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     flag_lo, flag_hi = ("--" + name.replace("_", "-") for name in WINDOWS[cmd])
-    assert f"{flag_lo} {float(lo)}" in err and f"{flag_hi} {float(hi)}" in err
+    assert err == (f"error: {flag_lo} {float(lo)} must be less than {flag_hi} {float(hi)}"
+                   " by a finite width\n")
     assert not out.exists()  # rejected before any work
 
 

@@ -165,6 +165,20 @@ class TestBulkMatchesReference:
             got = _bytes(write_csv, header, columns, mask=mask)
         assert got == _bytes(reference_write_csv, header, columns, mask=mask)
 
+    @settings(max_examples=200, deadline=None)
+    @given(table=tables(), data=st.data(), as_list=st.booleans(),
+           block=st.sampled_from([1, 7, 256]))
+    def test_csv_formatted_column(self, table, data, as_list, block):
+        # a column of str cells (FLOAT_FMT already applied) is written verbatim,
+        # so its bytes are those of its floats, masked or not
+        columns, mask = table
+        name = data.draw(st.sampled_from(list(columns)))
+        cells = [FLOAT_FMT % val for val in columns[name].tolist()]
+        formatted = {**columns, name: cells if as_list else np.array(cells)}
+        with mock.patch.object(output, "_ROW_BLOCK", block):
+            got = _bytes(write_csv, {}, formatted, mask=mask)
+            assert got == _bytes(write_csv, {}, columns, mask=mask)
+
     @pytest.mark.parametrize("block", [1, 3, 256])
     def test_csv_masked_runs_at_both_ends(self, tmp_path, block):
         ok = np.array([0, 0, 1, 1, 0, 1, 1, 0, 0], dtype=bool)

@@ -348,6 +348,29 @@ class TestDynamics:
             assert f.u.base.base is None
 
 
+    def test_interleaved_runs_match_solo_runs(self):
+        # each Run binds its own views and constants: two runs stepped in turn
+        # must each match a solo run of itself by the frozen kernel, which
+        # shares no state with Run, bit for bit
+        def field_cfg(dx, dt, k, delta, bc, n=48):
+            x = dx * np.arange(n)
+            u0 = 0.6 + 0.3 * np.cos(2.0 * math.pi * x / (n * dx))
+            cfg = SimConfig(k=k, delta=delta, beta=0.5, dt=dt, t_end=300 * dt,
+                            bc=bc, snapshot_every=300)
+            return GridField(x0=-1.0, dx=dx, u=u0, v=0.5 * u0, t=0.0), cfg
+
+        cases = [field_cfg(0.1, 0.004, 1.0, 1.0, "neumann"),
+                 field_cfg(0.2, 0.01, 2.5, 3.0, "periodic")]
+        runs = [Run(f, cfg) for f, cfg in cases]
+        for _ in range(300):
+            for run in runs:
+                step(run)
+        for run, (f, cfg) in zip(runs, cases):
+            got, want = run.snapshot(), frozen_simulate(f, cfg)[-1]
+            assert got.t == want.t
+            assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+
+
 class TestReactionStiffness:
     """dt times a local reaction-Jacobian eigenvalue must stay inside RK4's
     real stability interval; the diffusion bound alone lets these through."""
