@@ -7,16 +7,17 @@ oracle for the closed-form solutions, so it must not share machinery with
 them.
 
 ``simulate`` builds one ``Run`` per call and ``step`` advances it in place.
-The run holds (u, v) stacked in (2, N+2) arrays, a ghost cell at each end
-of each row, and binds once every buffer, view and constant (a 0-d array)
-a step reads; the state is copied out only at snapshot steps.  Each RK4
-stage fills the ghosts, evaluates the reaction terms in Horner form into
-scratch and adds the neighbour sum of both Laplacians, each pass one
-contiguous NumPy call over both species.  The Laplacian's diagonal,
--2y/dx^2, is folded into the reaction pass as -(beta + 2/dx^2) in place of
--beta, so results match the textbook form only within a tested tolerance:
-beta + 2/dx^2 rounds to the resolution of 2/dx^2, a shift of at most half
-an ulp of 2/dx^2 (5.7e-14 at dx = 0.05) that a long run amplifies.
+The run holds (u, v) stacked in one (2, N+2) buffer, a ghost cell at each
+end of each row, to which each step adds its RK4 increment, and binds once
+every buffer, view and constant (a 0-d array) a step reads; the state is
+copied out only at snapshot steps.  Each RK4 stage fills the ghosts,
+evaluates the reaction terms in Horner form into scratch and adds the
+neighbour sum of both Laplacians, each pass one contiguous NumPy call over
+both species.  The Laplacian's diagonal, -2y/dx^2, is folded into the
+reaction pass as -(beta + 2/dx^2) in place of -beta, so results match the
+textbook form only within a tested tolerance: beta + 2/dx^2 rounds to the
+resolution of 2/dx^2, a shift of at most half an ulp of 2/dx^2 (5.7e-14 at
+dx = 0.05) that a long run amplifies.
 
 Every state the integrator produces, and the initial one, must be finite
 and must keep dt times each local reaction-Jacobian eigenvalue inside RK4's
@@ -147,22 +148,19 @@ def _check_state(state, t, x0, dx, cfg: SimConfig, coeffs=None):
 
 class Run:
     """The RK4 state of one simulate call, with each step's views and constants
-    bound once.  A step reads ``cur``, accumulates in ``acc`` and swaps the two;
-    ``y``, ``k`` and ``scratch`` hold the stages.  Each buffer has its views:
-    (flat, prey row, predator row, left and right stencil neighbours, stencil
-    target, unpadded (2, N) state).  ``now`` and ``after``, one per direction of
-    the swap, hold cur, acc, cur's unpadded state and stage 1's arguments."""
+    bound once.  A step reads the padded state buffer, accumulates its increment
+    in ``acc`` and adds that into the buffer; ``y``, ``k`` and ``scratch`` hold
+    the stages.  ``state`` is the buffer's unpadded (2, N) view, and ``stages``
+    holds the buffers, both stage argument tuples and the step's scalars."""
 
     def __init__(self, initial: GridField, cfg: SimConfig):
         check_stability(cfg, initial.dx)
         m = len(initial.u) + 2
         self.cfg, self.x0, self.dx, self.t0, self.t, self.i, self.m = (
             cfg, initial.x0, initial.dx, initial.t, initial.t, 0, m)
-        bufs = np.empty((5, 2 * m))
-        bufs[0].reshape(2, m)[:, 1:-1] = initial.u, initial.v
-        cur, acc, y, k, scratch = [
-            (b, b[:m], b[m:], b[:-2], b[2:], b[1:-1], b.reshape(2, m)[:, 1:-1])
-            for b in bufs]
+        y0, acc, y, k, scratch = np.empty((5, 2 * m))
+        self.state = y0.reshape(2, m)[:, 1:-1]
+        self.state[:] = initial.u, initial.v
         # where y[0], y[m-1], y[m], y[-1] are read from: wrapped or reflected
         src = (m - 2, 1, 2 * m - 2, m + 1) if cfg.bc == "periodic" else (2, m - 3, m + 2, 2 * m - 3)
         inv_dx2 = 1.0 / (initial.dx * initial.dx)
@@ -171,16 +169,15 @@ class Run:
         ks, neg_delta, rate, diag, inv_dx2, half, dt, half_dt, third_dt = map(np.array, (
             cfg.k + 1.0 / math.sqrt(cfg.delta), -cfg.delta, cfg.k, cfg.beta + 2.0 * inv_dx2,
             inv_dx2, 0.5, cfg.dt, 0.5 * cfg.dt, cfg.dt / 3.0))
-        first, second, later = [(*i[:5], *o[:2], o[5], *scratch[:3], m - 1, m, *src, ks,
-                                 neg_delta, rate, diag, inv_dx2)
-                                for i, o in ((cur, acc), (acc, cur), (y, k))]
-        self.now, self.after = (cur[0], acc[0], cur[6], first), (acc[0], cur[0], acc[6], second)
-        self.stages = (y[0], k[0], later, half, dt, half_dt, third_dt)
+        first, later = [(i, i[:m], i[m:], i[:-2], i[2:], o, o[:m], o[1:-1], scratch,
+                         scratch[:m], scratch[m:], m - 1, m, *src, ks, neg_delta, rate,
+                         diag, inv_dx2) for i, o in ((y0, acc), (y, k))]
+        self.stages = (y0, acc, first, y, k, later, half, dt, half_dt, third_dt)
         self.coeffs = _coeffs(cfg)
 
     def snapshot(self) -> GridField:
         """The current state on a copy of its padded buffer."""
-        u, v = self.now[0].copy().reshape(2, self.m)[:, 1:-1]
+        u, v = self.stages[0].copy().reshape(2, self.m)[:, 1:-1]
         return GridField(self.x0, self.dx, u, v, self.t)
 
 
@@ -207,8 +204,7 @@ def _stage_rhs(y, u, v, left, right, out, tmp, inner, scratch, pu, pv,
 
 def step(run: Run):
     """Advance the run by one classical RK4 step."""
-    y0, a, _, first = run.now
-    y, k, later, half, dt, half_dt, third_dt = run.stages
+    y0, a, first, y, k, later, half, dt, half_dt, third_dt = run.stages
     # each stage scales out's outer entries by 1/dx^2 and the stencil never
     # writes them, so they are zeroed every step before they can overflow
     a[0] = a[-1] = k[0] = k[-1] = 0.0
@@ -227,11 +223,10 @@ def step(run: Run):
     k *= half
     a += k
     a *= third_dt
-    a += y0
-    run.now, run.after = run.after, run.now
+    y0 += a
     run.i += 1
     run.t = run.t0 + run.i * run.cfg.dt
-    _check_state(run.now[2], run.t, run.x0, run.dx, run.cfg, run.coeffs)
+    _check_state(run.state, run.t, run.x0, run.dx, run.cfg, run.coeffs)
 
 
 def simulate(initial: GridField, cfg: SimConfig):
@@ -241,7 +236,7 @@ def simulate(initial: GridField, cfg: SimConfig):
     last one.  Deterministic for identical inputs.
     """
     run = Run(initial, cfg)
-    _check_state(run.now[2], initial.t, initial.x0, initial.dx, cfg, run.coeffs)
+    _check_state(run.state, initial.t, initial.x0, initial.dx, cfg, run.coeffs)
     n_steps = round(cfg.t_end / cfg.dt)
     snapshots = [initial]
     for i in range(1, n_steps + 1):
