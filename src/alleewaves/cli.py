@@ -341,15 +341,17 @@ def cmd_verify(par, out) -> int:
 def cmd_simulate(par, out) -> int:
     spec = _make_spec_from(par)
     co = spec.coeffs
-    x = np.arange(par["x_min"], par["x_max"] + 0.5 * par["dx"], par["dx"])
-    if len(x) < 8:  # the fewest cells a GridField takes
+    n = len(np.arange(par["x_min"], par["x_max"] + 0.5 * par["dx"], par["dx"]))
+    if n < 8:  # the fewest cells a GridField takes
         raise ValueError(f"--x-min {par['x_min']}, --x-max {par['x_max']} and --dx {par['dx']}"
-                         f" give a grid of {len(x)} cells; simulate needs at least 8")
+                         f" give a grid of {n} cells; simulate needs at least 8")
+    # the seed is sampled on the x that GridField.x and every snapshot record
+    x = par["x_min"] + par["dx"] * np.arange(n)
     p = pole_between(spec, x[0], x[-1])
     if p is not None:
         raise ValueError(f"seed profile has a pole at xi={p:.6g} inside the domain;"
                          f" {spec.forms.advice.format(period=spec.period)}")
-    u0, v0 = np.asarray(eval_uv_masked(spec, x, 0.0)[:2])
+    u0, v0, _ = eval_uv_masked(spec, x, 0.0)
     field = GridField(x0=float(x[0]), dx=par["dx"], u=u0, v=v0, t=0.0)
     cfg = SimConfig(k=par["k"], delta=par["delta"], beta=co.beta_model,
                     dt=par["dt"], t_end=par["t_end"], bc=par["bc"],
@@ -359,7 +361,7 @@ def cmd_simulate(par, out) -> int:
     hdr = {**_ARTIFACT, "command": "simulate",
            **{key: par[key] for key in sorted(par) if par[key] is not None},
            "c": co.c, "beta": co.beta_model}
-    xs = np.array([FLOAT_FMT % val for val in field.x.tolist()])  # all snapshots' grid
+    xs = np.array([FLOAT_FMT % val for val in x.tolist()])  # all snapshots' grid
     for i, f in enumerate(snaps):
         write_csv(out / f"snapshot_{i:03d}.csv", {**hdr, "t": f.t},
                   {"x": xs, "u": f.u, "v": f.v})

@@ -303,6 +303,21 @@ class TestSimulate:
             write_csv(direct, read_csv(path)[0], {"x": f.x, "u": f.u, "v": f.v})
             assert path.read_bytes() == direct.read_bytes()
 
+    @pytest.mark.parametrize("dx, dt", [(0.1, 0.004), (0.05, 0.001), (0.025, 0.00025)])
+    def test_seed_is_sampled_on_the_recorded_grid(self, tmp_path, dx, dt):
+        # the initial snapshot's u, v must be the profile at the x it records,
+        # not at np.arange's points, which drift from x0 + dx*i by rounding
+        args = list(SIM_BASE)
+        for flag, value in (("--x-min", "-40"), ("--x-max", "40"), ("--dx", str(dx))):
+            args[args.index(flag) + 1] = value
+        assert main(["simulate", *args, "--dt", str(dt), "--t-end", str(dt),
+                     "--out", str(tmp_path)]) == 0
+        _, cols = read_csv(tmp_path / "snapshot_000.csv")
+        assert len(cols["x"]) == round(80 / dx) + 1
+        spec = make_spec("A", 1.2, 0.2, 5.9, 3.0, "upper", 10.0, 20.0)
+        u, v, _ = eval_uv_masked(spec, cols["x"], 0.0)
+        assert np.array_equal(cols["u"], u) and np.array_equal(cols["v"], v)
+
     def test_single_exponential_seed_is_pole_free(self, tmp_path):
         # c1 = c2 makes G one exponential: phi is constant and finite on the
         # whole line, far tails included
