@@ -506,6 +506,8 @@ class TestFrozenKernel:
         assert [f.t for f in got] == [f.t for f in want]
         for g, w in zip(got, want):
             assert np.array_equal(g.u, w.u) and np.array_equal(g.v, w.v)
+            # array_equal takes -0.0 for 0.0, which a snapshot writes as -0
+            assert g.u.tobytes() == w.u.tobytes() and g.v.tobytes() == w.v.tobytes()
         return got
 
     @pytest.mark.parametrize("bc", ["neumann", "periodic"])
@@ -545,6 +547,80 @@ class TestFrozenKernel:
         self.assert_identical(GridField(x0=0.0, dx=dx, u=u0, v=0.5 * u0, t=0.0), cfg)
 
 
+class TestActiveWindow:
+    """simulate steps only the cells between frozen ends, byte for byte as
+    frozen_simulate steps the whole grid."""
+
+    # with k = delta = beta = 1 and dx = 0.5 the kernel's stage RHS is exactly
+    # 0 at (0, 0) and (1, 0); (0.5, 0.25) is flat but moves, and a -0.0 end
+    # turns into +0.0 on the first step
+    ENDS = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.25), (-0.0, 0.0), (1.0, -0.0)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), bc=st.sampled_from(["neumann", "neumann", "periodic"]),
+           n_steps=st.integers(1, 120), every=st.integers(1, 60))
+    def test_matches_the_full_grid(self, data, bc, n_steps, every):
+        # ends from 0 cells to well past the 66 the window keeps beyond each
+        # edge; the middle's noise reaches the (0, 0) ends within the run
+        mid = data.draw(st.integers(8, 40))
+        u = data.draw(arrays(np.float64, mid, elements=st.floats(-0.5, 1.5)))
+        v = data.draw(arrays(np.float64, mid, elements=st.floats(-0.5, 1.0)))
+        for side in (0, -1):
+            (ue, ve) = data.draw(st.sampled_from(self.ENDS + self.ENDS[:2] * 2))
+            length = data.draw(st.integers(0, 200))
+            ends = np.full(length, ue), np.full(length, ve)
+            u, v = [np.concatenate((e, a) if side == 0 else (a, e)) for a, e in zip((u, v), ends)]
+        cfg = SimConfig(k=1.0, delta=1.0, beta=1.0, dt=0.05, t_end=n_steps * 0.05, bc=bc,
+                        snapshot_every=every)
+        TestFrozenKernel().assert_identical(GridField(x0=-3.0, dx=0.5, u=u, v=v, t=0.0), cfg)
+
+    def test_blowup_in_the_window_names_the_full_grid_cell(self):
+        # (0, 0) ends start the window at cell 150 - 66 = 84; u^3 at the spike
+        # overflows on the first step, and the first non-finite cell is 203,
+        # where -40 + 0.1*203 differs from (-40 + 0.1*84) + 0.1*(203 - 84)
+        u, v = np.zeros(400), np.zeros(400)
+        u[150:250], u[206] = 0.5, 1e150
+        f = GridField(x0=-40.0, dx=0.1, u=u, v=v, t=0.25)
+        cfg = SimConfig(k=1.0, delta=1.0, beta=1.0, dt=1e-301, t_end=1e-300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as got:
+                simulate(f, cfg)
+            with pytest.raises(BlowUpError) as want:
+                frozen_simulate(f, cfg)
+        assert (got.value.t, got.value.x) == (want.value.t, want.value.x)
+        assert got.value.x == f.x[203]
+
+    def test_stiff_cell_in_the_window_is_named_as_on_the_full_grid(self):
+        # the prey grows toward its upper root near 21 until dt times the
+        # local Jacobian leaves RK4's interval, after some steps in a window
+        u, v = np.zeros(400), np.zeros(400)
+        u[180:220], v[180:220], u[203] = 0.5, 0.1, 1.0
+        f = GridField(x0=-40.0, dx=0.2, u=u, v=v, t=0.0)
+        cfg = SimConfig(k=20.0, delta=1.0, beta=1.0, dt=0.016, t_end=1.6, snapshot_every=10)
+        with pytest.raises(StabilityError) as got:
+            simulate(f, cfg)
+        with pytest.raises(StabilityError) as want:
+            frozen_simulate(f, cfg)
+        assert "at t=0.096," in str(got.value) and str(got.value) == str(want.value)
+
+    def test_criterion_5_run_steps_a_narrow_window(self, monkeypatch):
+        widths = []
+
+        def recording_step(run):
+            widths.append(run.state.shape[1])
+            return step(run)
+
+        monkeypatch.setattr(sim, "step", recording_step)
+        spec = make_spec("A", 1.2, 0.2, 5.9, 3.0, "upper", 10.0, 20.0)
+        dx = 0.05
+        x = np.arange(-40.0, 40.0 + 0.5 * dx, dx)
+        u0, v0, _ = eval_uv_masked(spec, x, 0.0)
+        cfg = SimConfig(k=5.9, delta=3.0, beta=spec.coeffs.beta_model,
+                        dt=0.001, t_end=2.0, snapshot_every=250)
+        simulate(GridField(x0=float(x[0]), dx=dx, u=u0, v=v0, t=0.0), cfg)
+        assert len(widths) == 2000 and max(widths) < 0.7 * len(x)
+
+
 class TestWaveSpeed:
     def make_front_snapshots(self, c, n_snaps=6):
         # analytic tanh front sampled so each snapshot shifts by exactly
@@ -582,6 +658,14 @@ class TestWaveSpeed:
                       v=np.zeros_like(x), t=0.0)
         with pytest.raises(TrackingError):
             measure_wave_speed([f, f], 0.5)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e170])
+    def test_crossing_of_a_tiny_or_huge_profile(self, scale):
+        # d[:-1] * d[1:] underflows to 0 at 1e-180 and overflows at 1e170;
+        # the level lies between the samples at x = 5 and x = 6
+        f = scale * np.array([0, 0, 0, 1e-300, 1e-250, 1e-200, 1e-150, 1e-100, 1, 1])
+        pos = sim._crossing_position(np.arange(10.0), f, scale * 1e-180)
+        assert 5.0 <= pos <= 6.0
 
     def test_needs_two_snapshots(self):
         with pytest.raises(ValueError):
