@@ -566,7 +566,7 @@ class TestActiveWindow:
         u = data.draw(arrays(np.float64, mid, elements=st.floats(-0.5, 1.5)))
         v = data.draw(arrays(np.float64, mid, elements=st.floats(-0.5, 1.0)))
         for side in (0, -1):
-            (ue, ve) = data.draw(st.sampled_from(self.ENDS + self.ENDS[:2] * 2))
+            ue, ve = data.draw(st.sampled_from(self.ENDS + self.ENDS[:2] * 2))
             length = data.draw(st.integers(0, 200))
             ends = np.full(length, ue), np.full(length, ve)
             u, v = [np.concatenate((e, a) if side == 0 else (a, e)) for a, e in zip((u, v), ends)]
